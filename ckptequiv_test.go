@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"testing"
 
+	"softwatt/internal/ckpt"
 	"softwatt/internal/core"
 	"softwatt/internal/machine"
 	"softwatt/internal/power"
@@ -66,12 +67,12 @@ func checkCkptEquivalence(t *testing.T, bench, coreName string) {
 		t.Fatalf("machine halted during the first half (%d cycles)", half)
 	}
 	var ctr bytes.Buffer
-	if err := trace.WriteCheckpoint(&ctr, src.Checkpoint()); err != nil {
+	if err := ckpt.WriteContainer(&ctr, ckpt.Section{Tag: trace.TagCkpt, Payload: src.Checkpoint()}); err != nil {
 		t.Fatal(err)
 	}
 	src.Release()
 
-	payload, err := trace.ReadCheckpoint(&ctr)
+	payload, err := ckpt.ReadSection(ctr.Bytes(), trace.TagCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@
 // order regardless of parallelism.
 //
 // -o saves the complete run (identity, resolved config, totals, service
-// statistics, disk energy, sample windows) as a version-2 run log;
-// -replay re-renders the identical report from such a log with zero
-// simulation. -log writes the legacy version-1 sample-only log.
+// statistics, disk energy, sample windows) as a run log; -replay
+// re-renders the identical report from such a log with zero simulation.
 //
 // -sample N estimates power by sampled simulation instead of a full
 // detailed run: a swift fast-forward pass measures the run length and the
@@ -29,7 +28,7 @@
 // Usage:
 //
 //	softwatt [-core mipsy|mxs|mxs1] [-disk conventional|idle|standby2|standby4]
-//	         [-j N] [-profile] [-services] [-log file] [-o file]
+//	         [-j N] [-profile] [-services] [-o file]
 //	         [-sample N] [-window W] [-ci T] [-maxwindows N]
 //	         [-ffcache dir] [-ckpt dir]
 //	         [-eprof out.pb.gz] [-timeline N]
@@ -57,7 +56,6 @@ import (
 	"softwatt"
 	"softwatt/internal/obs"
 	"softwatt/internal/prof"
-	"softwatt/internal/trace"
 )
 
 func main() {
@@ -68,8 +66,7 @@ func main() {
 	jobs := flag.Int("j", 0, "simulations to run in parallel (0 = one per CPU)")
 	profile := flag.Bool("profile", false, "print the execution/power time profile (paper Figs. 3/4)")
 	services := flag.Bool("services", true, "print the kernel service table (paper Table 4)")
-	logFile := flag.String("log", "", "write the legacy v1 sample-only log to this file (single benchmark only)")
-	outFile := flag.String("o", "", "save the complete run as a v2 run log (single benchmark only)")
+	outFile := flag.String("o", "", "save the complete run as a run log (single benchmark only)")
 	replay := flag.Bool("replay", false, "arguments are saved run logs: report from them without simulating")
 	sample := flag.Int("sample", 0, "estimate power from N sampled detailed windows instead of a full run (0 = full detail)")
 	window := flag.Uint64("window", 0, "detailed cycles per sample window (0 = default 200000)")
@@ -104,8 +101,6 @@ func main() {
 	if *replay {
 		for i, path := range flag.Args() {
 			// A saved sampled result re-renders through the sampled report.
-			// Probe for it first: the v2 run-log reader would skip the SRES
-			// section (unknown-section rule) rather than reject the file.
 			if sres, serr := softwatt.LoadSampledResultFile(path); serr == nil {
 				if i > 0 {
 					fmt.Println()
@@ -126,10 +121,6 @@ func main() {
 		return
 	}
 	benches := flag.Args()
-	if *logFile != "" && len(benches) > 1 {
-		fmt.Fprintln(os.Stderr, "softwatt: -log needs a single benchmark")
-		os.Exit(2)
-	}
 	if *outFile != "" && len(benches) > 1 {
 		fmt.Fprintln(os.Stderr, "softwatt: -o needs a single benchmark")
 		os.Exit(2)
@@ -152,10 +143,6 @@ func main() {
 		// Sampled estimation replaces the detailed report; the sample
 		// windows do not produce the service/profile data a run log holds,
 		// so -o saves the sampled result itself (-replay re-renders it).
-		if *logFile != "" {
-			fmt.Fprintln(os.Stderr, "softwatt: -sample cannot write v1 sample logs (-log needs a full detailed run)")
-			os.Exit(2)
-		}
 		so := softwatt.SampleOptions{
 			Windows:      *sample,
 			WindowCycles: *window,
@@ -210,23 +197,6 @@ func main() {
 		report(est, res, *services, *profile)
 	}
 
-	if *logFile != "" {
-		res := results[0]
-		f, err := os.Create(*logFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(1)
-		}
-		if err := trace.WriteLog(f, res.Samples); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(1)
-		}
-		fmt.Printf("\nwrote %d sample windows to %s\n", len(res.Samples), *logFile)
-	}
 	// The -o notice goes to stderr so that stdout stays byte-identical
 	// between a live run and its -replay.
 	if *outFile != "" {

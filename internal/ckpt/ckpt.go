@@ -186,18 +186,22 @@ func (r *Reader) Str() string { return string(r.Blob()) }
 // Count reads a u32 element count and validates it against the remaining
 // bytes assuming each element occupies at least minElemBytes — the guard
 // that keeps `make([]T, count)` honest against corrupt input.
-func (r *Reader) Count(minElemBytes int) int {
-	n := int(r.U32())
+func (r *Reader) Count(minElemBytes int) int { return r.count(uint64(r.U32()), minElemBytes) }
+
+// Count64 is Count for a u64 element count.
+func (r *Reader) Count64(minElemBytes int) int { return r.count(r.U64(), minElemBytes) }
+
+func (r *Reader) count(n uint64, minElemBytes int) int {
 	if r.err != nil {
 		return 0
 	}
 	if minElemBytes < 1 {
 		minElemBytes = 1
 	}
-	if n < 0 || n > r.Remaining()/minElemBytes {
+	if n > uint64(r.Remaining()/minElemBytes) {
 		r.Corrupt("element count %d exceeds remaining %d bytes (min elem %d)",
 			n, r.Remaining(), minElemBytes)
 		return 0
 	}
-	return n
+	return int(n)
 }

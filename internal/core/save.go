@@ -149,16 +149,14 @@ func FromRecord(rec *trace.RunRecord) *RunResult {
 	return r
 }
 
-// SaveResult serialises a complete result in the version-2 log format.
+// SaveResult serialises a complete result as a run log.
 func SaveResult(w io.Writer, r *RunResult) error {
 	return trace.WriteRunRecord(w, r.ToRecord())
 }
 
-// LoadResult deserialises a result saved by SaveResult. Version-1
-// sample-only logs also load, with only the sample-derivable fields
-// populated (see trace.ReadRunRecord).
-func LoadResult(rd io.Reader) (*RunResult, error) {
-	rec, err := trace.ReadRunRecord(rd)
+// LoadResult deserialises a run log saved by SaveResult.
+func LoadResult(data []byte) (*RunResult, error) {
+	rec, err := trace.ReadRunRecord(data)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := SaveResult(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadResult(bytes.NewReader(buf.Bytes()))
+	got, err := LoadResult(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,23 +6,19 @@
 // and restored by any later sampled run over the same key: a warm run
 // skips the fast-forward entirely and pays only for its detailed windows.
 //
-// Files reuse the v2 log container (magic, version, one FFRS section,
-// END) via internal/trace, are keyed by the FF configuration digest in
-// the file name AND revalidated against the digest stored inside, and are
-// written atomically (temp + rename) like run logs and resume
-// checkpoints. The decoder treats the bytes as hostile: every count is
-// validated against the bytes actually remaining before allocation.
+// Files are ckpt containers holding one FFRS section, kept in
+// internal/store under the Reservoir kind: keyed by the FF configuration
+// digest in the file name AND revalidated against the key stored inside,
+// written atomically. The decoder treats the bytes as hostile: every count
+// is validated against the bytes actually remaining before allocation.
 package ffstore
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"softwatt/internal/ckpt"
 	"softwatt/internal/disk"
-	"softwatt/internal/trace"
+	"softwatt/internal/store"
 )
 
 // TagFFRS is the container section carrying an encoded reservoir.
@@ -90,7 +86,8 @@ func (r *Reservoir) Encode() []byte {
 
 // Decode parses a reservoir payload. Hostile input — truncated data, lying
 // counts, oversized length prefixes — fails with an error, never a panic
-// or an allocation beyond the bytes actually present.
+// or an allocation beyond the bytes actually present. Entry payloads are
+// subslices of data, not copies.
 func Decode(data []byte) (*Reservoir, error) {
 	r := ckpt.NewReader(data)
 	if v := r.U32(); v != ffrsVersion && r.Err() == nil {
@@ -120,12 +117,32 @@ func Decode(data []byte) (*Reservoir, error) {
 	res.Entries = make([]Entry, n)
 	for i := range res.Entries {
 		res.Entries[i].Cycle = r.U64()
-		res.Entries[i].Payload = append([]byte(nil), r.Blob()...)
+		res.Entries[i].Payload = r.Blob()
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("ffstore: %w", err)
 	}
 	return res, nil
+}
+
+// Decoder returns the file decoder for the (benchmark, digest) key: the
+// FFRS container, the payload, and the key recorded inside.
+func Decoder(benchmark, digest string) func([]byte) (*Reservoir, error) {
+	return func(data []byte) (*Reservoir, error) {
+		payload, err := ckpt.ReadSection(data, TagFFRS)
+		if err != nil {
+			return nil, err
+		}
+		res, err := Decode(payload)
+		if err != nil {
+			return nil, err
+		}
+		if res.Benchmark != benchmark || res.Digest != digest {
+			return nil, fmt.Errorf("ffstore: reservoir is for %s-%s, want %s-%s",
+				res.Benchmark, res.Digest, benchmark, digest)
+		}
+		return res, nil
+	}
 }
 
 // Store is a directory of reservoir files.
@@ -135,7 +152,7 @@ type Store struct {
 
 // Path is the reservoir file path for a (benchmark, digest) key.
 func (s Store) Path(benchmark, digest string) string {
-	return filepath.Join(s.Dir, fmt.Sprintf("%s-%s.swffr", benchmark, digest))
+	return store.Reservoir.Path(s.Dir, benchmark, digest)
 }
 
 // Load reads the reservoir for a (benchmark, digest) key. A missing file
@@ -143,51 +160,11 @@ func (s Store) Path(benchmark, digest string) string {
 // exists but fails to decode, or whose recorded key does not match, is an
 // error the caller should count as corruption and rebuild over.
 func (s Store) Load(benchmark, digest string) (*Reservoir, error) {
-	data, err := os.ReadFile(s.Path(benchmark, digest))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := trace.ReadSectionContainer(bytes.NewReader(data), TagFFRS)
-	if err != nil {
-		return nil, err
-	}
-	res, err := Decode(payload)
-	if err != nil {
-		return nil, err
-	}
-	if res.Benchmark != benchmark || res.Digest != digest {
-		return nil, fmt.Errorf("ffstore: reservoir is for %s-%s, want %s-%s",
-			res.Benchmark, res.Digest, benchmark, digest)
-	}
-	return res, nil
+	return store.Load(s.Path(benchmark, digest), Decoder(benchmark, digest))
 }
 
 // Save atomically writes the reservoir to its keyed path, creating the
-// directory if needed. Concurrent readers either see the old complete
-// file, no file, or the new complete file — never a partial write.
+// directory if needed.
 func (s Store) Save(r *Reservoir) error {
-	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
-		return err
-	}
-	path := s.Path(r.Benchmark, r.Digest)
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := trace.WriteSectionContainer(f, TagFFRS, r.Encode()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return store.Save(s.Path(r.Benchmark, r.Digest), ckpt.Section{Tag: TagFFRS, Payload: r.Encode()})
 }

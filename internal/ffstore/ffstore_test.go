@@ -8,7 +8,7 @@ import (
 	"reflect"
 	"testing"
 
-	"softwatt/internal/trace"
+	"softwatt/internal/ckpt"
 )
 
 // testReservoir builds a reservoir exercising every encoded field.
@@ -101,8 +101,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzReadReservoir drives the reservoir decoder — bare and through the
-// FFRS container — over arbitrary bytes. The property is the package's
+// FuzzReadReservoir drives the reservoir decoder — bare and as a keyed
+// file through the FFRS container — over arbitrary bytes. The property is the package's
 // stated contract: hostile input (truncated data, lying counts, oversized
 // length prefixes) returns an error, never a panic or an allocation beyond
 // the bytes actually present.
@@ -110,7 +110,7 @@ func FuzzReadReservoir(f *testing.F) {
 	payload := testReservoir().Encode()
 	f.Add(payload)
 	var container bytes.Buffer
-	if err := trace.WriteSectionContainer(&container, TagFFRS, payload); err != nil {
+	if err := ckpt.WriteContainer(&container, ckpt.Section{Tag: TagFFRS, Payload: payload}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(container.Bytes())
@@ -131,8 +131,6 @@ func FuzzReadReservoir(f *testing.F) {
 				t.Fatal("accepted reservoir does not round-trip")
 			}
 		}
-		if p, err := trace.ReadSectionContainer(bytes.NewReader(data), TagFFRS); err == nil {
-			Decode(p)
-		}
+		Decoder("compress", "0123456789abcdef")(data)
 	})
 }

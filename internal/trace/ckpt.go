@@ -11,21 +11,15 @@ package trace
 // timing model at construction and energyFn by the estimator facade, both
 // on whatever machine the collector now belongs to.
 //
-// A checkpoint file reuses the v2 log container — magic, version 2, one
-// CKPT section, END — so existing v2 readers skip it (unknown-section
-// rule) rather than choking, and the format stays self-describing.
+// A checkpoint file is a ckpt container holding one CKPT section.
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-
 	"softwatt/internal/ckpt"
 	"softwatt/internal/stats"
 )
 
-var tagCkpt = [4]byte{'C', 'K', 'P', 'T'}
+// TagCkpt is the container section carrying a machine checkpoint.
+var TagCkpt = [4]byte{'C', 'K', 'P', 'T'}
 
 func encodeBucket(w *ckpt.Writer, b *Bucket) {
 	for _, u := range b.Units {
@@ -144,108 +138,4 @@ func (c *Collector) DecodeState(r *ckpt.Reader) {
 	c.totalCycles = r.U64()
 	c.totalInsts = r.U64()
 	c.nextFlush = r.U64()
-}
-
-// WriteSectionContainer wraps a payload in the v2 log container: magic,
-// version, a single section carrying the given tag, END. Checkpoint files
-// and the fast-forward reservoir store both use this shape; existing v2
-// readers skip the unfamiliar section (unknown-section rule) rather than
-// choking, and the format stays self-describing.
-func WriteSectionContainer(w io.Writer, tag [4]byte, payload []byte) error {
-	bw := bufio.NewWriter(w)
-	le := binary.LittleEndian
-	var hdr [8]byte
-	le.PutUint32(hdr[0:], logMagic)
-	le.PutUint32(hdr[4:], logVersion2)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(tag[:]); err != nil {
-		return err
-	}
-	var size [8]byte
-	le.PutUint64(size[:], uint64(len(payload)))
-	if _, err := bw.Write(size[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(payload); err != nil {
-		return err
-	}
-	if _, err := bw.Write(tagEnd[:]); err != nil {
-		return err
-	}
-	le.PutUint64(size[:], 0)
-	if _, err := bw.Write(size[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadSectionContainer extracts the payload of the section carrying the
-// given tag from a container written by WriteSectionContainer. Unknown
-// sections are skipped (same rule as run records); a container without the
-// wanted section is an error. Counts are never trusted for allocation: the
-// payload is read incrementally, so a lying size field fails with an error
-// rather than an enormous allocation.
-func ReadSectionContainer(r io.Reader, tag [4]byte) ([]byte, error) {
-	br := bufio.NewReader(r)
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: %s header: %w", tag[:], err)
-	}
-	le := binary.LittleEndian
-	if m := le.Uint32(hdr[0:]); m != logMagic {
-		return nil, fmt.Errorf("trace: bad %s magic %#x", tag[:], m)
-	}
-	if v := le.Uint32(hdr[4:]); v != logVersion2 {
-		return nil, fmt.Errorf("trace: unsupported %s version %d", tag[:], v)
-	}
-	var payload []byte
-	for {
-		var sh [12]byte
-		if _, err := io.ReadFull(br, sh[:]); err != nil {
-			return nil, fmt.Errorf("trace: %s section header: %w", tag[:], err)
-		}
-		var st [4]byte
-		copy(st[:], sh[0:4])
-		size := le.Uint64(sh[4:])
-		if st == tagEnd {
-			if payload == nil {
-				return nil, fmt.Errorf("trace: container has no %s section", tag[:])
-			}
-			return payload, nil
-		}
-		if size > maxSkippedBytes {
-			return nil, fmt.Errorf("trace: section %q too large (%d bytes)", st[:], size)
-		}
-		if st == tag {
-			if payload != nil {
-				return nil, fmt.Errorf("trace: duplicate %s section", tag[:])
-			}
-			data, err := io.ReadAll(io.LimitReader(br, int64(size)))
-			if err != nil {
-				return nil, fmt.Errorf("trace: %s payload: %w", tag[:], err)
-			}
-			if uint64(len(data)) != size {
-				return nil, fmt.Errorf("trace: %s payload truncated (%d of %d bytes)", tag[:], len(data), size)
-			}
-			payload = data
-			continue
-		}
-		if _, err := io.CopyN(io.Discard, br, int64(size)); err != nil {
-			return nil, fmt.Errorf("trace: skipping section %q: %w", st[:], err)
-		}
-	}
-}
-
-// WriteCheckpoint wraps an encoded machine checkpoint payload in the v2
-// log container: magic, version, a single CKPT section, END.
-func WriteCheckpoint(w io.Writer, payload []byte) error {
-	return WriteSectionContainer(w, tagCkpt, payload)
-}
-
-// ReadCheckpoint extracts the CKPT payload from a checkpoint container
-// written by WriteCheckpoint.
-func ReadCheckpoint(r io.Reader) ([]byte, error) {
-	return ReadSectionContainer(r, tagCkpt)
 }

@@ -9,33 +9,20 @@ import (
 	"softwatt/internal/ckpt"
 )
 
-// FuzzReadLog drives both log readers over both format versions. The
-// property under test is robustness, not correctness: arbitrary input —
-// including corrupt headers that claim enormous record counts — must
-// produce an error or a record, never a panic or a multi-gigabyte
-// allocation.
+// FuzzReadLog drives the run-log reader over arbitrary bytes. The
+// property under test is robustness: arbitrary input — including corrupt
+// headers that claim enormous record counts — must produce an error or a
+// record, never a panic or a multi-gigabyte allocation, and any record
+// that loads must re-encode to a log that loads back to the same bytes.
 func FuzzReadLog(f *testing.F) {
-	// Seed: valid v1 log.
+	// Seed: a valid log.
 	rng := rand.New(rand.NewSource(10))
 	rec := randRecord(rng)
-	var v1 bytes.Buffer
-	if err := WriteLog(&v1, rec.Samples[:2]); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
-
-	// Seed: valid v2 log.
 	var v2 bytes.Buffer
 	if err := WriteRunRecord(&v2, rec); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
-
-	// Seed: the overallocation crasher — a bare v1 header claiming 2³²-1
-	// samples (~2 TB if trusted).
-	var huge bytes.Buffer
-	binary.Write(&huge, binary.LittleEndian, [4]uint32{logMagic, logVersion, 1<<32 - 1, uint32(NumUnits)})
-	f.Add(huge.Bytes())
 
 	// Seed: a v2 header with a SAMP section lying about its sample count.
 	var lie bytes.Buffer
@@ -80,13 +67,36 @@ func FuzzReadLog(f *testing.F) {
 	f.Add(junk.Bytes())
 	f.Add([]byte("not a log at all"))
 
+	// Seeds: containers that are not run logs — a bare header and END, a
+	// checkpoint — and a log with a duplicated CONF section.
+	var bare, ck, dup bytes.Buffer
+	ckpt.WriteContainer(&bare)
+	ckpt.WriteContainer(&ck, ckpt.Section{Tag: TagCkpt, Payload: []byte("state")})
+	ckpt.WriteContainer(&dup, append(rec.Sections(), rec.Sections()[1])...)
+	f.Add(bare.Bytes())
+	f.Add(ck.Bytes())
+	f.Add(dup.Bytes())
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Both entry points must stay well-behaved on the same bytes.
-		if samples, err := ReadLog(bytes.NewReader(data)); err == nil {
-			_ = samples
+		rec, err := ReadRunRecord(data)
+		if err != nil {
+			return
 		}
-		if rec, err := ReadRunRecord(bytes.NewReader(data)); err == nil && rec == nil {
-			t.Fatal("nil record without error")
+		// Byte comparison, not DeepEqual: hostile input may carry NaN
+		// float bits, which are preserved but never compare equal.
+		var enc, reenc bytes.Buffer
+		if err := WriteRunRecord(&enc, rec); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadRunRecord(enc.Bytes())
+		if err != nil {
+			t.Fatalf("re-read of an accepted record failed: %v", err)
+		}
+		if err := WriteRunRecord(&reenc, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), reenc.Bytes()) {
+			t.Fatal("accepted record does not round-trip")
 		}
 	})
 }
@@ -105,7 +115,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	var cw ckpt.Writer
 	c.EncodeState(&cw)
 	var ok bytes.Buffer
-	if err := WriteCheckpoint(&ok, cw.Bytes()); err != nil {
+	if err := ckpt.WriteContainer(&ok, ckpt.Section{Tag: TagCkpt, Payload: cw.Bytes()}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(ok.Bytes())
@@ -113,7 +123,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	// Seed: a CKPT section whose size field lies past the actual bytes.
 	var lie bytes.Buffer
 	binary.Write(&lie, binary.LittleEndian, [2]uint32{logMagic, logVersion2})
-	lie.Write(tagCkpt[:])
+	lie.Write(TagCkpt[:])
 	binary.Write(&lie, binary.LittleEndian, uint64(1)<<40)
 	f.Add(lie.Bytes())
 
@@ -130,7 +140,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add([]byte("not a checkpoint"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := ReadCheckpoint(bytes.NewReader(data))
+		payload, err := ckpt.ReadSection(data, TagCkpt)
 		if err != nil {
 			return
 		}

@@ -1,36 +1,32 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"softwatt/internal/ckpt"
 	"softwatt/internal/stats"
 )
 
-// Version 2 of the log format captures a complete run — identity, resolved
-// configuration, mode totals, per-service statistics including the Welford
+// The run log captures a complete run — identity, resolved configuration,
+// mode totals, per-service statistics including the Welford
 // per-invocation-energy state, disk activity and energy, and the sample
 // windows — so every report can be regenerated from the log alone, with no
-// re-simulation. The layout is sectioned and self-describing:
+// re-simulation. It is a ckpt container (magic "SWAT", version 2) whose
+// sections are listed in recordSections, each encoded with the ckpt
+// primitives:
 //
-//	uint32 magic "SWAT", uint32 version = 2
-//	repeated sections, each:
-//	    [4]byte tag, uint64 payload size, payload
-//	terminated by the "END\0" section (size 0)
+//	META CONF MODE SVCS DISK SAMP   required, exactly once each
+//	TLIN EPRF                       optional, at most once each
 //
 // All integers are little-endian; floats are IEEE-754 bit patterns, so
 // values round-trip exactly. Readers skip sections with unknown tags and
 // unrecognised trailing bytes inside known sections, which is how future
 // minor revisions stay readable; dimension counts (modes, units, services)
 // are embedded in each section and checked against the running binary.
-// Record counts are never trusted for allocation: readers grow slices as
-// records actually parse (see maxSamplePrealloc), so a corrupt or
-// truncated log fails with an error instead of an enormous allocation.
-
-const logVersion2 = 2
+// Record counts are never trusted for allocation: each is bounded by the
+// bytes its section actually holds, so a corrupt or truncated log fails
+// with an error instead of an enormous allocation.
 
 // Section tags.
 var (
@@ -42,16 +38,14 @@ var (
 	tagSamp = [4]byte{'S', 'A', 'M', 'P'}
 	tagTlin = [4]byte{'T', 'L', 'I', 'N'}
 	tagEprf = [4]byte{'E', 'P', 'R', 'F'}
-	tagEnd  = [4]byte{'E', 'N', 'D', 0}
 )
 
 // Sanity caps on untrusted counts. Each bounds the allocation a hostile
 // header field can demand before the payload has to back it up.
 const (
-	maxStringBytes  = 1 << 20
-	maxConfEntries  = 1 << 16
-	maxDiskStates   = 1 << 10
-	maxSkippedBytes = 1 << 30
+	maxStringBytes = 1 << 20
+	maxConfEntries = 1 << 16
+	maxDiskStates  = 1 << 10
 )
 
 // ConfigEntry is one key=value pair of the resolved run configuration.
@@ -113,582 +107,311 @@ type RunRecord struct {
 	EProfShift uint32
 }
 
-// ---------------------------------------------------------------------------
-// Writer.
-// ---------------------------------------------------------------------------
-
-// sectionWriter accumulates little-endian primitives for one section.
-type sectionWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (s *sectionWriter) u32(v uint32) {
-	if s.err == nil {
-		s.err = binary.Write(s.w, binary.LittleEndian, v)
-	}
-}
-
-func (s *sectionWriter) u64(v uint64) {
-	if s.err == nil {
-		s.err = binary.Write(s.w, binary.LittleEndian, v)
-	}
-}
-
-func (s *sectionWriter) f64(v float64) { s.u64(math.Float64bits(v)) }
-
-func (s *sectionWriter) str(v string) {
-	s.u32(uint32(len(v)))
-	if s.err == nil {
-		_, s.err = s.w.WriteString(v)
-	}
-}
-
-func (s *sectionWriter) bucket(b *Bucket) {
-	for _, u := range b.Units {
-		s.u64(u)
-	}
-	s.u64(b.Cycles)
-	s.u64(b.Insts)
-}
-
-func (s *sectionWriter) section(tag [4]byte, size uint64) {
-	if s.err == nil {
-		_, s.err = s.w.Write(tag[:])
-	}
-	s.u64(size)
-}
-
-const bucketBytes = int(NumUnits)*8 + 16
-
-// Serialized sizes of one TLIN point and one EPRF entry.
+// Serialized sizes of one sample window, one TLIN point and one EPRF
+// entry: the minimum bytes each counted record occupies.
 const (
+	bucketBytes    = int(NumUnits)*8 + 16
+	sampleBytes    = 16 + int(NumModes)*bucketBytes
 	tlinPointBytes = 16 + int(NumModes)*bucketBytes + 8
 	eprfEntryBytes = 4 + 4 + 8 + 8 + 8
 )
 
-// WriteRunRecord serialises rec in the version-2 format.
+// recordSections is the run log's section table in wire order. A section
+// with a present func is optional and written only when it reports true.
+var recordSections = [...]struct {
+	tag     [4]byte
+	present func(*RunRecord) bool
+	encode  func(*ckpt.Writer, *RunRecord)
+	decode  func(*ckpt.Reader, *RunRecord)
+}{
+	{tag: tagMeta, encode: encodeMeta, decode: decodeMeta},
+	{tag: tagConf, encode: encodeConf, decode: decodeConf},
+	{tag: tagMode, encode: encodeMode, decode: decodeMode},
+	{tag: tagSvcs, encode: encodeSvcs, decode: decodeSvcs},
+	{tag: tagDisk, encode: encodeDisk, decode: decodeDisk},
+	{tag: tagSamp, encode: encodeSamp, decode: decodeSamp},
+	{tag: tagTlin, present: func(rec *RunRecord) bool { return len(rec.Timeline) > 0 },
+		encode: encodeTlin, decode: decodeTlin},
+	{tag: tagEprf, present: func(rec *RunRecord) bool { return len(rec.EProf) > 0 },
+		encode: encodeEprf, decode: decodeEprf},
+}
+
+// Sections encodes rec as the run log's container sections.
+func (rec *RunRecord) Sections() []ckpt.Section {
+	var secs []ckpt.Section
+	for _, s := range recordSections {
+		if s.present != nil && !s.present(rec) {
+			continue
+		}
+		var w ckpt.Writer
+		s.encode(&w, rec)
+		secs = append(secs, ckpt.Section{Tag: s.tag, Payload: w.Bytes()})
+	}
+	return secs
+}
+
+// WriteRunRecord serialises rec as a run log.
 func WriteRunRecord(w io.Writer, rec *RunRecord) error {
-	bw := bufio.NewWriter(w)
-	s := &sectionWriter{w: bw}
-	s.u32(logMagic)
-	s.u32(logVersion2)
+	return ckpt.WriteContainer(w, rec.Sections()...)
+}
 
-	// META: identity and whole-run totals.
-	s.section(tagMeta, uint64(4+len(rec.Benchmark)+4+len(rec.Core)+5*8))
-	s.str(rec.Benchmark)
-	s.str(rec.Core)
-	s.f64(rec.ClockHz)
-	s.u64(rec.TotalCycles)
-	s.u64(rec.Committed)
-	s.u64(rec.IdleCycles)
-	s.f64(rec.DiskEnergyJ)
-
-	// CONF: the resolved configuration, in writer order.
-	confSize := uint64(4)
-	for _, e := range rec.Config {
-		confSize += uint64(4 + len(e.Key) + 4 + len(e.Value))
-	}
-	s.section(tagConf, confSize)
-	s.u32(uint32(len(rec.Config)))
-	for _, e := range rec.Config {
-		s.str(e.Key)
-		s.str(e.Value)
-	}
-
-	// MODE: per-mode whole-run buckets.
-	s.section(tagMode, uint64(8+int(NumModes)*bucketBytes))
-	s.u32(uint32(NumModes))
-	s.u32(uint32(NumUnits))
-	for m := range rec.ModeTotals {
-		s.bucket(&rec.ModeTotals[m])
-	}
-
-	// SVCS: per-service aggregates including the Welford state.
-	s.section(tagSvcs, uint64(8+int(NumSvc)*(8+bucketBytes+5*8)))
-	s.u32(uint32(NumSvc))
-	s.u32(uint32(NumUnits))
-	for i := range rec.Services {
-		sv := &rec.Services[i]
-		s.u64(sv.Invocations)
-		s.bucket(&sv.Total)
-		s.u64(sv.Energy.N)
-		s.f64(sv.Energy.Mean)
-		s.f64(sv.Energy.M2)
-		s.f64(sv.Energy.Min)
-		s.f64(sv.Energy.Max)
-	}
-
-	// DISK: activity statistics.
-	s.section(tagDisk, uint64(5*8+4+len(rec.Disk.StateCycles)*8))
-	s.u64(rec.Disk.Reads)
-	s.u64(rec.Disk.Writes)
-	s.u64(rec.Disk.BytesMoved)
-	s.u64(rec.Disk.Spinups)
-	s.u64(rec.Disk.Spindowns)
-	s.u32(uint32(len(rec.Disk.StateCycles)))
-	for _, c := range rec.Disk.StateCycles {
-		s.u64(c)
-	}
-
-	// SAMP: the sample windows, streamed.
-	s.section(tagSamp, uint64(12+len(rec.Samples)*sampleBytes))
-	s.u32(uint32(NumUnits))
-	s.u64(uint64(len(rec.Samples)))
-	if s.err == nil {
-		for i := range rec.Samples {
-			if err := writeSample(bw, &rec.Samples[i]); err != nil {
-				return err
+// ReadRunRecord deserialises a run log. Every required section must appear
+// exactly once and every optional one at most once, so a container of
+// another kind (a checkpoint, a sampled result) or a spliced log is an
+// error rather than an empty or doubled record.
+func ReadRunRecord(data []byte) (*RunRecord, error) {
+	rec := &RunRecord{}
+	var seen [len(recordSections)]bool
+	err := ckpt.ReadSections(data, func(tag [4]byte, payload []byte) error {
+		// A tag not in the table, from a newer writer, matches nothing
+		// and is skipped.
+		for i, s := range recordSections {
+			if s.tag != tag {
+				continue
+			}
+			if seen[i] {
+				return fmt.Errorf("trace: duplicate %s section", tag[:])
+			}
+			seen[i] = true
+			r := ckpt.NewReader(payload)
+			s.decode(r, rec)
+			if err := r.Err(); err != nil {
+				return fmt.Errorf("trace: section %q: %w", tag[:], err)
 			}
 		}
-	}
-
-	// TLIN: the power-timeline points. Written only when present so plain
-	// runs keep producing byte-identical logs (the golden contract,
-	// DESIGN.md §9); old readers skip the unknown tag.
-	if len(rec.Timeline) > 0 {
-		s.section(tagTlin, uint64(16+len(rec.Timeline)*tlinPointBytes))
-		s.u32(uint32(NumModes))
-		s.u32(uint32(NumUnits))
-		s.u64(uint64(len(rec.Timeline)))
-		for i := range rec.Timeline {
-			p := &rec.Timeline[i]
-			s.u64(p.Start)
-			s.u64(p.End)
-			for m := range p.Mode {
-				s.bucket(&p.Mode[m])
-			}
-			s.f64(p.DiskJ)
-		}
-	}
-
-	// EPRF: the aggregated energy profile, sorted by key at collection
-	// time. Same written-only-when-present rule as TLIN.
-	if len(rec.EProf) > 0 {
-		s.section(tagEprf, uint64(12+len(rec.EProf)*eprfEntryBytes))
-		s.u32(rec.EProfShift)
-		s.u64(uint64(len(rec.EProf)))
-		for i := range rec.EProf {
-			e := &rec.EProf[i]
-			s.u32(e.PCBucket)
-			s.u32(uint32(e.Mode) | uint32(e.ASID)<<8)
-			s.u64(e.Cycles)
-			s.u64(e.Insts)
-			s.f64(e.EnergyPJ)
-		}
-	}
-
-	s.section(tagEnd, 0)
-	if s.err != nil {
-		return s.err
-	}
-	return bw.Flush()
-}
-
-// ---------------------------------------------------------------------------
-// Reader.
-// ---------------------------------------------------------------------------
-
-// sectionReader parses little-endian primitives from one size-limited
-// section payload.
-type sectionReader struct {
-	r *io.LimitedReader
-}
-
-func (s *sectionReader) u32() (uint32, error) {
-	var v uint32
-	err := binary.Read(s.r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func (s *sectionReader) u64() (uint64, error) {
-	var v uint64
-	err := binary.Read(s.r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func (s *sectionReader) f64() (float64, error) {
-	v, err := s.u64()
-	return math.Float64frombits(v), err
-}
-
-func (s *sectionReader) str() (string, error) {
-	n, err := s.u32()
+		return nil
+	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if n > maxStringBytes {
-		return "", fmt.Errorf("trace: string length %d exceeds cap", n)
+	for i, s := range recordSections {
+		if s.present == nil && !seen[i] {
+			return nil, fmt.Errorf("trace: run log has no %s section", s.tag[:])
+		}
 	}
-	if uint64(n) > uint64(s.r.N) {
-		return "", fmt.Errorf("trace: string length %d exceeds section", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(s.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
+	return rec, nil
 }
 
-func (s *sectionReader) bucket(b *Bucket) error {
-	if err := binary.Read(s.r, binary.LittleEndian, b.Units[:]); err != nil {
-		return err
+// readStr reads a length-prefixed string, capped at maxStringBytes.
+func readStr(r *ckpt.Reader) string {
+	n := r.U32()
+	if n > maxStringBytes {
+		r.Corrupt("string length %d exceeds cap", n)
+		return ""
 	}
-	var ci [2]uint64
-	if err := binary.Read(s.r, binary.LittleEndian, ci[:]); err != nil {
-		return err
-	}
-	b.Cycles, b.Insts = ci[0], ci[1]
-	return nil
+	return string(r.Raw(int(n)))
 }
 
 // dims reads and checks the (count, units) pair prefixed to the array
 // sections, failing when the log's dimensions disagree with the binary's.
-func (s *sectionReader) dims(what string, want int) error {
-	n, err := s.u32()
-	if err != nil {
-		return err
-	}
-	units, err := s.u32()
-	if err != nil {
-		return err
-	}
-	if n != uint32(want) {
-		return fmt.Errorf("trace: log has %d %s, binary has %d", n, what, want)
-	}
-	if units != uint32(NumUnits) {
-		return fmt.Errorf("trace: log has %d units, binary has %d", units, NumUnits)
-	}
-	return nil
-}
-
-// ReadRunRecord deserialises a run record. A version-2 log restores the
-// complete record. A version-1 sample-only log is also accepted: the
-// samples are read and the mode totals and cycle/instruction counts are
-// rebuilt from them, with the identity, configuration, service and disk
-// fields left zero.
-func ReadRunRecord(r io.Reader) (*RunRecord, error) {
-	br := bufio.NewReader(r)
-	var hdr [2]uint32
-	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if hdr[0] != logMagic {
-		return nil, fmt.Errorf("trace: bad magic %#x", hdr[0])
-	}
-	switch hdr[1] {
-	case logVersion:
-		var rest [2]uint32
-		if err := binary.Read(br, binary.LittleEndian, rest[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading header: %w", err)
-		}
-		if rest[1] != uint32(NumUnits) {
-			return nil, fmt.Errorf("trace: log has %d units, binary has %d", rest[1], NumUnits)
-		}
-		samples, err := readSamples(br, int(rest[0]))
-		if err != nil {
-			return nil, err
-		}
-		return recordFromSamples(samples), nil
-	case logVersion2:
-		return readRecordSections(br)
-	default:
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr[1])
+func dims(r *ckpt.Reader, what string, want int) {
+	n, units := r.U32(), r.U32()
+	switch {
+	case r.Err() != nil:
+	case n != uint32(want):
+		r.Corrupt("log has %d %s, binary has %d", n, what, want)
+	case units != uint32(NumUnits):
+		r.Corrupt("log has %d units, binary has %d", units, NumUnits)
 	}
 }
 
-// recordFromSamples rebuilds the derivable aggregate fields of a record
-// from bare sample windows (the v1 upgrade path).
-func recordFromSamples(samples []Sample) *RunRecord {
-	rec := &RunRecord{Samples: samples}
-	for i := range samples {
-		for m := range rec.ModeTotals {
-			rec.ModeTotals[m].Add(&samples[i].Mode[m])
-		}
-	}
-	for m := range rec.ModeTotals {
-		rec.TotalCycles += rec.ModeTotals[m].Cycles
-		rec.Committed += rec.ModeTotals[m].Insts
-	}
-	rec.IdleCycles = rec.ModeTotals[ModeIdle].Cycles
-	return rec
+// META: identity and whole-run totals.
+
+func encodeMeta(w *ckpt.Writer, rec *RunRecord) {
+	w.Str(rec.Benchmark)
+	w.Str(rec.Core)
+	w.F64(rec.ClockHz)
+	w.U64(rec.TotalCycles)
+	w.U64(rec.Committed)
+	w.U64(rec.IdleCycles)
+	w.F64(rec.DiskEnergyJ)
 }
 
-// readRecordSections parses the section stream after a v2 header.
-func readRecordSections(br *bufio.Reader) (*RunRecord, error) {
-	rec := &RunRecord{}
-	for {
-		var tag [4]byte
-		if _, err := io.ReadFull(br, tag[:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated log: reading section tag: %w", err)
-		}
-		var size uint64
-		if err := binary.Read(br, binary.LittleEndian, &size); err != nil {
-			return nil, fmt.Errorf("trace: truncated log: reading section size: %w", err)
-		}
-		if tag == tagEnd {
-			return rec, nil
-		}
-		if size > uint64(math.MaxInt64) {
-			return nil, fmt.Errorf("trace: section %q size %d out of range", tag[:], size)
-		}
-		lr := &io.LimitedReader{R: br, N: int64(size)}
-		var err error
-		switch tag {
-		case tagMeta:
-			err = readMeta(&sectionReader{lr}, rec)
-		case tagConf:
-			err = readConf(&sectionReader{lr}, rec)
-		case tagMode:
-			err = readMode(&sectionReader{lr}, rec)
-		case tagSvcs:
-			err = readSvcs(&sectionReader{lr}, rec)
-		case tagDisk:
-			err = readDisk(&sectionReader{lr}, rec)
-		case tagSamp:
-			err = readSamp(&sectionReader{lr}, rec)
-		case tagTlin:
-			err = readTlin(&sectionReader{lr}, rec)
-		case tagEprf:
-			err = readEprf(&sectionReader{lr}, rec)
-		default:
-			// Unknown section from a newer writer: skip its payload.
-			if size > maxSkippedBytes {
-				return nil, fmt.Errorf("trace: unknown section %q size %d exceeds cap", tag[:], size)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: section %q: %w", tag[:], err)
-		}
-		// Drain unrecognised trailing bytes (a newer minor revision may
-		// have appended fields); a shortfall here is a truncated log.
-		if _, err := io.Copy(io.Discard, lr); err != nil {
-			return nil, fmt.Errorf("trace: section %q: %w", tag[:], err)
-		}
-		if lr.N > 0 {
-			return nil, fmt.Errorf("trace: section %q truncated", tag[:])
-		}
+func decodeMeta(r *ckpt.Reader, rec *RunRecord) {
+	rec.Benchmark = readStr(r)
+	rec.Core = readStr(r)
+	rec.ClockHz = r.F64()
+	rec.TotalCycles = r.U64()
+	rec.Committed = r.U64()
+	rec.IdleCycles = r.U64()
+	rec.DiskEnergyJ = r.F64()
+}
+
+// CONF: the resolved configuration, in writer order.
+
+func encodeConf(w *ckpt.Writer, rec *RunRecord) {
+	w.U32(uint32(len(rec.Config)))
+	for _, e := range rec.Config {
+		w.Str(e.Key)
+		w.Str(e.Value)
 	}
 }
 
-func readMeta(s *sectionReader, rec *RunRecord) error {
-	var err error
-	if rec.Benchmark, err = s.str(); err != nil {
-		return err
-	}
-	if rec.Core, err = s.str(); err != nil {
-		return err
-	}
-	if rec.ClockHz, err = s.f64(); err != nil {
-		return err
-	}
-	if rec.TotalCycles, err = s.u64(); err != nil {
-		return err
-	}
-	if rec.Committed, err = s.u64(); err != nil {
-		return err
-	}
-	if rec.IdleCycles, err = s.u64(); err != nil {
-		return err
-	}
-	rec.DiskEnergyJ, err = s.f64()
-	return err
-}
-
-func readConf(s *sectionReader, rec *RunRecord) error {
-	n, err := s.u32()
-	if err != nil {
-		return err
-	}
+func decodeConf(r *ckpt.Reader, rec *RunRecord) {
+	n := r.U32()
 	if n > maxConfEntries {
-		return fmt.Errorf("config entry count %d exceeds cap", n)
+		r.Corrupt("config entry count %d exceeds cap", n)
 	}
-	for i := uint32(0); i < n; i++ {
-		var e ConfigEntry
-		if e.Key, err = s.str(); err != nil {
-			return err
-		}
-		if e.Value, err = s.str(); err != nil {
-			return err
-		}
-		rec.Config = append(rec.Config, e)
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		k, v := readStr(r), readStr(r)
+		rec.Config = append(rec.Config, ConfigEntry{Key: k, Value: v})
 	}
-	return nil
 }
 
-func readMode(s *sectionReader, rec *RunRecord) error {
-	if err := s.dims("modes", int(NumModes)); err != nil {
-		return err
-	}
+// MODE: per-mode whole-run buckets.
+
+func encodeMode(w *ckpt.Writer, rec *RunRecord) {
+	w.U32(uint32(NumModes))
+	w.U32(uint32(NumUnits))
 	for m := range rec.ModeTotals {
-		if err := s.bucket(&rec.ModeTotals[m]); err != nil {
-			return err
-		}
+		encodeBucket(w, &rec.ModeTotals[m])
 	}
-	return nil
 }
 
-func readSvcs(s *sectionReader, rec *RunRecord) error {
-	if err := s.dims("services", int(NumSvc)); err != nil {
-		return err
+func decodeMode(r *ckpt.Reader, rec *RunRecord) {
+	dims(r, "modes", int(NumModes))
+	for m := range rec.ModeTotals {
+		decodeBucket(r, &rec.ModeTotals[m])
 	}
+}
+
+// SVCS: per-service aggregates including the Welford state.
+
+func encodeSvcs(w *ckpt.Writer, rec *RunRecord) {
+	w.U32(uint32(NumSvc))
+	w.U32(uint32(NumUnits))
 	for i := range rec.Services {
 		sv := &rec.Services[i]
-		var err error
-		if sv.Invocations, err = s.u64(); err != nil {
-			return err
-		}
-		if err = s.bucket(&sv.Total); err != nil {
-			return err
-		}
-		if sv.Energy.N, err = s.u64(); err != nil {
-			return err
-		}
-		if sv.Energy.Mean, err = s.f64(); err != nil {
-			return err
-		}
-		if sv.Energy.M2, err = s.f64(); err != nil {
-			return err
-		}
-		if sv.Energy.Min, err = s.f64(); err != nil {
-			return err
-		}
-		if sv.Energy.Max, err = s.f64(); err != nil {
-			return err
-		}
+		w.U64(sv.Invocations)
+		encodeBucket(w, &sv.Total)
+		encodeWelford(w, sv.Energy)
 	}
-	return nil
 }
 
-func readDisk(s *sectionReader, rec *RunRecord) error {
-	var err error
-	if rec.Disk.Reads, err = s.u64(); err != nil {
-		return err
+func decodeSvcs(r *ckpt.Reader, rec *RunRecord) {
+	dims(r, "services", int(NumSvc))
+	for i := range rec.Services {
+		sv := &rec.Services[i]
+		sv.Invocations = r.U64()
+		decodeBucket(r, &sv.Total)
+		sv.Energy = decodeWelford(r)
 	}
-	if rec.Disk.Writes, err = s.u64(); err != nil {
-		return err
+}
+
+// DISK: activity statistics.
+
+func encodeDisk(w *ckpt.Writer, rec *RunRecord) {
+	d := &rec.Disk
+	w.U64(d.Reads)
+	w.U64(d.Writes)
+	w.U64(d.BytesMoved)
+	w.U64(d.Spinups)
+	w.U64(d.Spindowns)
+	w.U32(uint32(len(d.StateCycles)))
+	for _, c := range d.StateCycles {
+		w.U64(c)
 	}
-	if rec.Disk.BytesMoved, err = s.u64(); err != nil {
-		return err
-	}
-	if rec.Disk.Spinups, err = s.u64(); err != nil {
-		return err
-	}
-	if rec.Disk.Spindowns, err = s.u64(); err != nil {
-		return err
-	}
-	n, err := s.u32()
-	if err != nil {
-		return err
-	}
+}
+
+func decodeDisk(r *ckpt.Reader, rec *RunRecord) {
+	d := &rec.Disk
+	d.Reads = r.U64()
+	d.Writes = r.U64()
+	d.BytesMoved = r.U64()
+	d.Spinups = r.U64()
+	d.Spindowns = r.U64()
+	n := r.U32()
 	if n > maxDiskStates {
-		return fmt.Errorf("disk state count %d exceeds cap", n)
+		r.Corrupt("disk state count %d exceeds cap", n)
 	}
-	for i := uint32(0); i < n; i++ {
-		c, err := s.u64()
-		if err != nil {
-			return err
-		}
-		rec.Disk.StateCycles = append(rec.Disk.StateCycles, c)
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		d.StateCycles = append(d.StateCycles, r.U64())
 	}
-	return nil
 }
 
-func readSamp(s *sectionReader, rec *RunRecord) error {
-	units, err := s.u32()
-	if err != nil {
-		return err
+// SAMP: the sample windows.
+
+func encodeSamp(w *ckpt.Writer, rec *RunRecord) {
+	w.Reserve(12 + len(rec.Samples)*sampleBytes)
+	w.U32(uint32(NumUnits))
+	w.U64(uint64(len(rec.Samples)))
+	for i := range rec.Samples {
+		encodeSample(w, &rec.Samples[i])
 	}
-	if units != uint32(NumUnits) {
-		return fmt.Errorf("log has %d units, binary has %d", units, NumUnits)
-	}
-	count, err := s.u64()
-	if err != nil {
-		return err
-	}
-	// The section size bounds how many samples can actually follow; a
-	// count beyond that is corrupt before any allocation happens.
-	if avail := uint64(s.r.N) / uint64(sampleBytes); count > avail {
-		return fmt.Errorf("sample count %d exceeds section payload (%d available)", count, avail)
-	}
-	rec.Samples, err = readSamples(s.r, int(count))
-	return err
 }
 
-func readTlin(s *sectionReader, rec *RunRecord) error {
-	if err := s.dims("modes", int(NumModes)); err != nil {
-		return err
+func decodeSamp(r *ckpt.Reader, rec *RunRecord) {
+	if units := r.U32(); r.Err() == nil && units != uint32(NumUnits) {
+		r.Corrupt("log has %d units, binary has %d", units, NumUnits)
 	}
-	count, err := s.u64()
-	if err != nil {
-		return err
+	rec.Samples = make([]Sample, r.Count64(sampleBytes))
+	for i := range rec.Samples {
+		decodeSample(r, &rec.Samples[i])
 	}
-	// Same rule as SAMP: the section size bounds the point count before
-	// any count-sized allocation happens.
-	if avail := uint64(s.r.N) / uint64(tlinPointBytes); count > avail {
-		return fmt.Errorf("timeline point count %d exceeds section payload (%d available)", count, avail)
-	}
-	rec.Timeline = make([]TimelinePoint, count)
+}
+
+// TLIN: the power-timeline points.
+
+func encodeTlin(w *ckpt.Writer, rec *RunRecord) {
+	w.U32(uint32(NumModes))
+	w.U32(uint32(NumUnits))
+	w.U64(uint64(len(rec.Timeline)))
 	for i := range rec.Timeline {
 		p := &rec.Timeline[i]
-		if p.Start, err = s.u64(); err != nil {
-			return err
-		}
-		if p.End, err = s.u64(); err != nil {
-			return err
-		}
+		w.U64(p.Start)
+		w.U64(p.End)
 		for m := range p.Mode {
-			if err := s.bucket(&p.Mode[m]); err != nil {
-				return err
-			}
+			encodeBucket(w, &p.Mode[m])
 		}
-		if p.DiskJ, err = s.f64(); err != nil {
-			return err
-		}
+		w.F64(p.DiskJ)
 	}
-	return nil
 }
 
-func readEprf(s *sectionReader, rec *RunRecord) error {
-	shift, err := s.u32()
-	if err != nil {
-		return err
+func decodeTlin(r *ckpt.Reader, rec *RunRecord) {
+	dims(r, "modes", int(NumModes))
+	rec.Timeline = make([]TimelinePoint, r.Count64(tlinPointBytes))
+	for i := range rec.Timeline {
+		p := &rec.Timeline[i]
+		p.Start = r.U64()
+		p.End = r.U64()
+		for m := range p.Mode {
+			decodeBucket(r, &p.Mode[m])
+		}
+		p.DiskJ = r.F64()
 	}
-	if shift > 31 {
-		return fmt.Errorf("eprof bucket shift %d out of range", shift)
-	}
-	count, err := s.u64()
-	if err != nil {
-		return err
-	}
-	if avail := uint64(s.r.N) / uint64(eprfEntryBytes); count > avail {
-		return fmt.Errorf("eprof entry count %d exceeds section payload (%d available)", count, avail)
-	}
-	rec.EProfShift = shift
-	rec.EProf = make([]EProfEntry, count)
+}
+
+// EPRF: the aggregated energy profile, sorted by key at collection time.
+
+func encodeEprf(w *ckpt.Writer, rec *RunRecord) {
+	w.U32(rec.EProfShift)
+	w.U64(uint64(len(rec.EProf)))
 	for i := range rec.EProf {
 		e := &rec.EProf[i]
-		if e.PCBucket, err = s.u32(); err != nil {
-			return err
-		}
-		key, err := s.u32()
-		if err != nil {
-			return err
-		}
+		w.U32(e.PCBucket)
+		w.U32(uint32(e.Mode) | uint32(e.ASID)<<8)
+		w.U64(e.Cycles)
+		w.U64(e.Insts)
+		w.F64(e.EnergyPJ)
+	}
+}
+
+func decodeEprf(r *ckpt.Reader, rec *RunRecord) {
+	if rec.EProfShift = r.U32(); rec.EProfShift > 31 {
+		r.Corrupt("eprof bucket shift %d out of range", rec.EProfShift)
+	}
+	rec.EProf = make([]EProfEntry, r.Count64(eprfEntryBytes))
+	for i := range rec.EProf {
+		e := &rec.EProf[i]
+		e.PCBucket = r.U32()
+		key := r.U32()
 		if key&0xff >= uint32(NumModes) {
-			return fmt.Errorf("eprof mode %d out of range", key&0xff)
+			r.Corrupt("eprof mode %d out of range", key&0xff)
 		}
 		e.Mode = Mode(key & 0xff)
 		e.ASID = uint8(key >> 8)
-		if e.Cycles, err = s.u64(); err != nil {
-			return err
-		}
-		if e.Insts, err = s.u64(); err != nil {
-			return err
-		}
-		if e.EnergyPJ, err = s.f64(); err != nil {
-			return err
-		}
+		e.Cycles = r.U64()
+		e.Insts = r.U64()
+		e.EnergyPJ = r.F64()
 	}
-	return nil
 }

@@ -5,10 +5,20 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"softwatt/internal/stats"
 )
+
+// The container framing the tests splice by hand (internal/ckpt).
+const (
+	logMagic    = 0x53574154 // "SWAT"
+	logVersion2 = 2
+)
+
+var tagEnd = [4]byte{'E', 'N', 'D', 0}
 
 // randRecord builds a pseudo-random but deterministic full run record.
 func randRecord(rng *rand.Rand) *RunRecord {
@@ -104,7 +114,7 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		if err := WriteRunRecord(&buf, rec); err != nil {
 			t.Fatalf("trial %d: write: %v", trial, err)
 		}
-		got, err := ReadRunRecord(bytes.NewReader(buf.Bytes()))
+		got, err := ReadRunRecord(buf.Bytes())
 		if err != nil {
 			t.Fatalf("trial %d: read: %v", trial, err)
 		}
@@ -122,76 +132,82 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRunRecordV1 checks the compat path: a version-1 sample-only log
-// loads as a record with the sample-derivable fields rebuilt.
-func TestReadRunRecordV1(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	rec := randRecord(rng)
-	var buf bytes.Buffer
-	if err := WriteLog(&buf, rec.Samples); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRunRecord(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Samples, rec.Samples) {
-		t.Fatal("v1 samples did not round trip")
-	}
-	var wantTotals [NumModes]Bucket
-	var cycles, insts uint64
-	for i := range rec.Samples {
-		for m := range wantTotals {
-			wantTotals[m].Add(&rec.Samples[i].Mode[m])
-		}
-	}
-	for m := range wantTotals {
-		cycles += wantTotals[m].Cycles
-		insts += wantTotals[m].Insts
-	}
-	if got.ModeTotals != wantTotals {
-		t.Fatal("v1 mode totals not rebuilt from samples")
-	}
-	if got.TotalCycles != cycles || got.Committed != insts {
-		t.Fatalf("v1 totals: got %d/%d want %d/%d", got.TotalCycles, got.Committed, cycles, insts)
-	}
-	if got.Benchmark != "" || got.Services[SvcRead].Invocations != 0 {
-		t.Fatal("v1 log invented non-derivable fields")
-	}
-}
-
-// TestReadLogBothVersions checks ReadLog returns the sample windows of
-// either format.
-func TestReadLogBothVersions(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	rec := randRecord(rng)
-	var v1, v2 bytes.Buffer
-	if err := WriteLog(&v1, rec.Samples); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteRunRecord(&v2, rec); err != nil {
-		t.Fatal(err)
-	}
-	for _, buf := range []*bytes.Buffer{&v1, &v2} {
-		got, err := ReadLog(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, rec.Samples) {
-			t.Fatal("samples mismatch")
-		}
-	}
-}
-
-// TestReadLogTruncatedHugeCount is the allocation-bound regression test:
-// a 16-byte header claiming ~2³² samples (≈2 TB once expanded) must fail
-// as a truncated log, not attempt the allocation. Against the pre-fix
-// reader this test dies allocating make([]Sample, 4294967295).
+// TestReadLogTruncatedHugeCount is the allocation-bound regression test
+// for the retired version-1 header: 16 bytes claiming ~2³² samples (≈2 TB
+// once expanded) must fail cleanly as an unsupported version, without an
+// allocation anywhere near the claimed count.
 func TestReadLogTruncatedHugeCount(t *testing.T) {
 	var hdr bytes.Buffer
-	binary.Write(&hdr, binary.LittleEndian, [4]uint32{logMagic, logVersion, 1<<32 - 1, uint32(NumUnits)})
-	if _, err := ReadLog(bytes.NewReader(hdr.Bytes())); err == nil {
-		t.Fatal("truncated log with huge sample count accepted")
+	binary.Write(&hdr, binary.LittleEndian, [4]uint32{logMagic, 1, 1<<32 - 1, uint32(NumUnits)})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadRunRecord(hdr.Bytes())
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 header: got %v, want an unsupported version 1 error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("v1 header allocated %d bytes", grew)
+	}
+}
+
+// TestReadRunRecordRejectsOtherContainers: the run-log reader requires
+// META, CONF, MODE, SVCS, DISK and SAMP exactly once and TLIN/EPRF at most
+// once. A checkpoint container, a bare header, or a log with a spliced-in
+// duplicate section must fail — never load as an empty or doubled record.
+func TestReadRunRecordRejectsOtherContainers(t *testing.T) {
+	section := func(tag [4]byte, payload []byte) []byte {
+		var b bytes.Buffer
+		b.Write(tag[:])
+		binary.Write(&b, binary.LittleEndian, uint64(len(payload)))
+		b.Write(payload)
+		return b.Bytes()
+	}
+	container := func(body ...[]byte) []byte {
+		var b bytes.Buffer
+		binary.Write(&b, binary.LittleEndian, [2]uint32{logMagic, logVersion2})
+		for _, s := range body {
+			b.Write(s)
+		}
+		b.Write(section(tagEnd, nil))
+		return b.Bytes()
+	}
+	rec := randRecord(rand.New(rand.NewSource(6)))
+	rec.Timeline = []TimelinePoint{{Start: 0, End: 100}}
+	var full bytes.Buffer
+	if err := WriteRunRecord(&full, rec); err != nil {
+		t.Fatal(err)
+	}
+	body := full.Bytes()[8 : full.Len()-12] // the sections, minus header and END
+	secs := rec.Sections()
+	dup := func(tag [4]byte) []byte {
+		for _, s := range secs {
+			if s.Tag == tag {
+				return container(body, section(s.Tag, s.Payload))
+			}
+		}
+		t.Fatalf("record has no %s section", tag[:])
+		return nil
+	}
+	cases := map[string][]byte{
+		"bare header":  container(),
+		"checkpoint":   container(section(TagCkpt, []byte("machine state"))),
+		"no SAMP":      container(body[:bytes.Index(body, tagSamp[:])]),
+		"double CONF":  dup(tagConf),
+		"double SAMP":  dup(tagSamp),
+		"double TLIN":  dup(tagTlin),
+		"v1 header":    {0x54, 0x41, 0x57, 0x53, 1, 0, 0, 0},
+		"wrong magic":  container()[1:],
+		"empty":        {},
+		"only a magic": container()[:4],
+	}
+	for name, data := range cases {
+		if got, err := ReadRunRecord(data); err == nil {
+			t.Errorf("%s: loaded as a run log: %+v", name, got)
+		}
+	}
+	if _, err := ReadRunRecord(full.Bytes()); err != nil {
+		t.Fatalf("the unmodified log: %v", err)
 	}
 }
 
@@ -205,7 +221,7 @@ func TestReadRunRecordHugeSampleCount(t *testing.T) {
 	binary.Write(&buf, binary.LittleEndian, uint64(12)) // room for the prefix alone
 	binary.Write(&buf, binary.LittleEndian, uint32(NumUnits))
 	binary.Write(&buf, binary.LittleEndian, uint64(1<<40)) // claimed samples
-	if _, err := ReadRunRecord(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ReadRunRecord(buf.Bytes()); err == nil {
 		t.Fatal("lying sample count accepted")
 	}
 }
@@ -221,7 +237,7 @@ func TestReadRunRecordLyingTlinCount(t *testing.T) {
 	binary.Write(&buf, binary.LittleEndian, uint32(NumModes))
 	binary.Write(&buf, binary.LittleEndian, uint32(NumUnits))
 	binary.Write(&buf, binary.LittleEndian, uint64(1<<40)) // claimed points
-	if _, err := ReadRunRecord(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := ReadRunRecord(buf.Bytes()); err == nil {
 		t.Fatal("lying timeline count accepted")
 	}
 }
@@ -243,20 +259,20 @@ func TestReadRunRecordBadEprf(t *testing.T) {
 		buf.Write(sec.Bytes())
 		return buf.Bytes()
 	}
-	if _, err := ReadRunRecord(bytes.NewReader(mk(6, 1<<40, nil))); err == nil {
+	if _, err := ReadRunRecord(mk(6, 1<<40, nil)); err == nil {
 		t.Fatal("lying eprof entry count accepted")
 	}
-	if _, err := ReadRunRecord(bytes.NewReader(mk(63, 0, nil))); err == nil {
+	if _, err := ReadRunRecord(mk(63, 0, nil)); err == nil {
 		t.Fatal("out-of-range bucket shift accepted")
 	}
 	badMode := mk(6, 1, func(sec *bytes.Buffer) {
-		binary.Write(sec, binary.LittleEndian, uint32(0x100))             // pc bucket
+		binary.Write(sec, binary.LittleEndian, uint32(0x100))    // pc bucket
 		binary.Write(sec, binary.LittleEndian, uint32(NumModes)) // mode out of range
 		binary.Write(sec, binary.LittleEndian, uint64(1))
 		binary.Write(sec, binary.LittleEndian, uint64(1))
 		binary.Write(sec, binary.LittleEndian, 1.0)
 	})
-	if _, err := ReadRunRecord(bytes.NewReader(badMode)); err == nil {
+	if _, err := ReadRunRecord(badMode); err == nil {
 		t.Fatal("out-of-range mode accepted")
 	}
 }
@@ -278,7 +294,7 @@ func TestReadRunRecordSkipsUnknownSection(t *testing.T) {
 	binary.Write(&spliced, binary.LittleEndian, uint64(5))
 	spliced.WriteString("hello")
 	spliced.Write(raw[8:])
-	got, err := ReadRunRecord(bytes.NewReader(spliced.Bytes()))
+	got, err := ReadRunRecord(spliced.Bytes())
 	if err != nil {
 		t.Fatalf("unknown section rejected: %v", err)
 	}
@@ -297,7 +313,7 @@ func TestReadRunRecordMissingEnd(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{len(raw) - 1, len(raw) - 12, len(raw) / 2, 9, 17} {
-		if _, err := ReadRunRecord(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := ReadRunRecord(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

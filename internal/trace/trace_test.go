@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -117,39 +116,13 @@ func TestBucketAddProperty(t *testing.T) {
 	}
 }
 
-func TestLogRoundTrip(t *testing.T) {
-	c := NewCollector(50)
-	c.SetContext(ModeUser, SvcNone)
-	for i := 0; i < 10; i++ {
-		c.AddUnit(UnitALU, uint64(i))
-		c.AddUnit(UnitL1I, 2)
-		c.AddCycles(30)
-		c.AddInst(9)
-	}
-	samples := c.Finish()
-	var buf bytes.Buffer
-	if err := WriteLog(&buf, samples); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(samples) {
-		t.Fatalf("%d != %d samples", len(got), len(samples))
-	}
-	for i := range got {
-		if got[i] != samples[i] {
-			t.Fatalf("sample %d mismatch", i)
-		}
-	}
-}
-
+// TestLogRejectsGarbage: bytes that are not a container at all fail to
+// load as a run log.
 func TestLogRejectsGarbage(t *testing.T) {
-	if _, err := ReadLog(bytes.NewReader([]byte("not a log file"))); err == nil {
+	if _, err := ReadRunRecord([]byte("not a log file")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ReadLog(bytes.NewReader(nil)); err == nil {
+	if _, err := ReadRunRecord(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }

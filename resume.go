@@ -5,23 +5,23 @@ package softwatt
 // the last one instead of re-simulating from boot. Checkpoint files are
 // keyed by the run's configuration digest — the same key the log cache
 // uses — so a checkpoint never answers for a different configuration, and
-// are written atomically (temp + rename) so an interrupted save leaves the
-// previous complete checkpoint in place. Restoration is bit-invisible:
+// live in internal/store, so an interrupted save leaves the previous
+// complete checkpoint in place. Restoration is bit-invisible:
 // the continued run serialises to the same result bytes as an
 // uninterrupted one (see TestCheckpointEquivalence), so resumability does
 // not participate in the configuration digest.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 
+	"softwatt/internal/ckpt"
 	"softwatt/internal/core"
 	"softwatt/internal/machine"
-	"softwatt/internal/obs"
+	"softwatt/internal/store"
 	"softwatt/internal/trace"
 )
 
@@ -38,60 +38,33 @@ const defaultCheckpointEvery = 500_000_000
 func CheckpointFileName(benchmark string, cfg machine.Config) string {
 	cfg.MaxCycles = 0
 	digest := core.ConfigDigest(benchmark, cfg.Core.String(), core.ConfigEntries(cfg))
-	return fmt.Sprintf("%s-%s.swckpt", benchmark, digest)
-}
-
-// writeCheckpointFile atomically writes a checkpoint container.
-func writeCheckpointFile(path string, payload []byte) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := trace.WriteCheckpoint(f, payload); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return store.Checkpoint.Path("", benchmark, digest)
 }
 
 // resumeMachine restores the checkpoint at path into m, if one exists. A
-// missing file is a normal fresh start. A checkpoint that exists but fails
-// to read or restore is surfaced (counter + warning) and the run restarts
-// from boot on a rebuilt machine — a half-restored machine is never used.
+// missing file is a normal fresh start. A checkpoint that fails to read or
+// restore is corrupt under the store's policy, and the run restarts from
+// boot on a rebuilt machine — a half-restored machine is never used.
 func resumeMachine(m *machine.Machine, cfg machine.Config, w machine.Workload, path string) (*machine.Machine, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
+	_, err := store.Lookup(store.Checkpoint, path, checkpointDecoder(m))
+	if err == nil || errors.Is(err, fs.ErrNotExist) {
 		return m, nil
 	}
-	rerr := err
-	if rerr == nil {
-		var payload []byte
-		if payload, rerr = trace.ReadCheckpoint(bytes.NewReader(data)); rerr == nil {
-			rerr = m.RestoreState(payload)
-		}
-	}
-	if rerr == nil {
-		return m, nil
-	}
-	obs.Batch().CheckpointCorrupt.Inc()
-	fmt.Fprintf(os.Stderr, "softwatt: unusable checkpoint %s (restarting from boot): %v\n", path, rerr)
-	os.Remove(path)
 	m.Release()
 	return machine.New(cfg, w)
+}
+
+// checkpointDecoder decodes a checkpoint file by restoring it into m. The
+// key recorded inside is the machine's configuration fingerprint, which
+// RestoreState checks against m's.
+func checkpointDecoder(m *machine.Machine) func([]byte) (*machine.Machine, error) {
+	return func(data []byte) (*machine.Machine, error) {
+		payload, err := ckpt.ReadSection(data, trace.TagCkpt)
+		if err != nil {
+			return nil, err
+		}
+		return m, m.RestoreState(payload)
+	}
 }
 
 // runCheckpointed drives a machine to completion in checkpoint-interval
@@ -112,7 +85,7 @@ func runCheckpointed(m *machine.Machine, path string, every uint64, cfg machine.
 		if m.Halted() {
 			break
 		}
-		if err := writeCheckpointFile(path, m.Checkpoint()); err != nil {
+		if err := store.Save(path, ckpt.Section{Tag: trace.TagCkpt, Payload: m.Checkpoint()}); err != nil {
 			return fmt.Errorf("softwatt: writing checkpoint: %w", err)
 		}
 	}

@@ -3,79 +3,58 @@ package softwatt
 // Run-log persistence. SoftWatt's methodology is post-processing: power
 // numbers come from a pass over sampled simulation logs, not from the live
 // simulation (disk energy excepted). This file makes that split durable —
-// a complete RunResult saves to a versioned self-describing log
-// (internal/trace format v2) and loads back bit-identically, so every
-// table and figure can be regenerated from saved logs with zero
-// re-simulation, and a directory of logs acts as a simulation cache keyed
-// by a digest of the resolved configuration.
+// a complete RunResult saves to a versioned self-describing run log
+// (internal/trace) and loads back bit-identically, so every table and
+// figure can be regenerated from saved logs with zero re-simulation, and a
+// directory of logs acts as a simulation cache keyed by a digest of the
+// resolved configuration.
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 
 	"softwatt/internal/core"
-	"softwatt/internal/obs"
+	"softwatt/internal/store"
 )
 
-// SaveResult serialises a complete run result to w in the version-2 log
-// format: identity, resolved configuration, mode totals, per-service
-// statistics (including the per-invocation energy aggregation state), disk
-// stats and energy, and the sample windows. A loaded result reproduces
-// every report byte-identically.
+// SaveResult serialises a complete run result to w as a run log:
+// identity, resolved configuration, mode totals, per-service statistics
+// (including the per-invocation energy aggregation state), disk stats and
+// energy, and the sample windows. A loaded result reproduces every report
+// byte-identically.
 func SaveResult(w io.Writer, r *RunResult) error { return core.SaveResult(w, r) }
 
-// LoadResult deserialises a result saved by SaveResult. Version-1
-// sample-only logs (written by softwatt -log) also load, with just the
-// sample-derivable fields populated.
-func LoadResult(r io.Reader) (*RunResult, error) { return core.LoadResult(r) }
-
-// SaveResultFile writes a run log file, creating or replacing path. The
-// log is written to a temporary file in the same directory and renamed into
-// place, so a crash or signal mid-write never leaves a truncated log
-// visible at path: concurrent RunBatchCached workers either see the old
-// complete file, no file, or the new complete file.
-func SaveResultFile(path string, r *RunResult) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := SaveResult(f, r); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// LoadResultFile reads a run log file.
-func LoadResultFile(path string) (*RunResult, error) {
-	f, err := os.Open(path)
+// LoadResult deserialises a run log saved by SaveResult.
+func LoadResult(r io.Reader) (*RunResult, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r, err := LoadResult(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	return core.LoadResult(data)
+}
+
+// SaveResultFile writes a run log file, creating or replacing path
+// atomically: concurrent RunBatchCached workers see the old complete file,
+// no file, or the new complete file.
+func SaveResultFile(path string, r *RunResult) error {
+	return store.Save(path, r.ToRecord().Sections()...)
+}
+
+// LoadResultFile reads a run log file.
+func LoadResultFile(path string) (*RunResult, error) { return store.Load(path, core.LoadResult) }
+
+// runLogDecoder decodes a run log file that must hold a run of digest.
+func runLogDecoder(digest string) func([]byte) (*RunResult, error) {
+	return func(data []byte) (*RunResult, error) {
+		r, err := core.LoadResult(data)
+		if err != nil {
+			return nil, err
+		}
+		if d := r.Digest(); d != digest {
+			return nil, fmt.Errorf("run log holds configuration %s, want %s", d, digest)
+		}
+		return r, nil
 	}
-	return r, nil
 }
 
 // RunSpec names one simulation: a benchmark under explicit options.
@@ -138,18 +117,18 @@ func CacheFileName(spec RunSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s-%s.swlog", spec.Benchmark, digest), nil
+	return store.RunLog.Path("", spec.Benchmark, digest), nil
 }
 
 // RunBatchCached is RunBatch backed by a directory of saved run logs. A
 // cell whose log is present (matched by configuration digest) loads
 // instead of simulating; the remaining cells simulate on the parallel
-// engine, each cell's log written as it completes. A mismatched log file
-// is treated as a miss and rewritten; a log that exists but fails to load
-// is also re-simulated, but counted and warned about (corruption is a
-// signal, not business as usual). OnResult fires only for simulated cells,
-// so a fully warm cache performs zero simulations; Progress reports over
-// all cells, with cache hits counted as already done.
+// engine, each cell's log written as it completes. A log that exists but
+// fails to load or records another configuration is corrupt under the
+// store's policy: counted, warned about, removed and re-simulated.
+// OnResult fires only for simulated cells, so a fully warm cache performs
+// zero simulations; Progress reports over all cells, with cache hits
+// counted as already done.
 func RunBatchCached(specs []RunSpec, dir string, b BatchOptions) ([]*RunResult, error) {
 	if dir == "" {
 		return RunBatch(specs, b)
@@ -164,26 +143,12 @@ func RunBatchCached(specs []RunSpec, dir string, b BatchOptions) ([]*RunResult, 
 		if err != nil {
 			return nil, err
 		}
-		name, err := CacheFileName(sp)
-		if err != nil {
-			return nil, err
-		}
-		path := filepath.Join(dir, name)
-		r, err := LoadResultFile(path)
-		if err == nil && ResultDigest(r) == digest {
-			obs.Batch().LogCacheHits.Inc()
+		path := store.RunLog.Path(dir, sp.Benchmark, digest)
+		if r, err := store.Lookup(store.RunLog, path, runLogDecoder(digest)); err == nil {
 			results[i] = r
 			hitLabels = append(hitLabels, sp.label())
 			continue
 		}
-		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			// The file is there but unreadable: a corrupted or truncated
-			// log. Still a miss (re-simulating rewrites it), but one worth
-			// surfacing — silent re-simulation hides data loss.
-			obs.Batch().LogCacheCorrupt.Inc()
-			fmt.Fprintf(os.Stderr, "softwatt: corrupt run log %s (re-simulating): %v\n", path, err)
-		}
-		obs.Batch().LogCacheMisses.Inc()
 		missIdx = append(missIdx, i)
 		missSpecs = append(missSpecs, sp)
 		missPaths = append(missPaths, path)
@@ -205,9 +170,6 @@ func RunBatchCached(specs []RunSpec, dir string, b BatchOptions) ([]*RunResult, 
 	}
 	if len(missSpecs) == 0 {
 		return results, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
 	}
 	inner := b.OnResult
 	b.OnResult = func(index int, label string, r *RunResult) error {

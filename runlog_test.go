@@ -202,7 +202,8 @@ func TestCachedCorruptLogCounted(t *testing.T) {
 }
 
 // TestCacheRejectsWrongDigest: a log for a different configuration sitting
-// at the right path must not answer for the spec.
+// at the right path must not answer for the spec; it is corrupt under the
+// store's policy, so it is counted and re-simulated over.
 func TestCacheRejectsWrongDigest(t *testing.T) {
 	dir := t.TempDir()
 	spec := RunSpec{Benchmark: "compress", Options: Options{Core: "mipsy"}}
@@ -223,12 +224,16 @@ func TestCacheRejectsWrongDigest(t *testing.T) {
 
 	var simulated atomic.Int64
 	b := BatchOptions{OnResult: func(int, string, *RunResult) error { simulated.Add(1); return nil }}
+	before := obs.Batch().LogCacheCorrupt.Value()
 	got, err := RunBatchCached([]RunSpec{spec}, dir, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if simulated.Load() != 1 {
 		t.Fatal("mismatched log accepted as cache hit")
+	}
+	if n := obs.Batch().LogCacheCorrupt.Value() - before; n != 1 {
+		t.Fatalf("mismatched log bumped the corrupt counter by %d, want 1", n)
 	}
 	if got[0].Digest() != mustDigest(t, spec) {
 		t.Fatal("result carries wrong digest")

@@ -37,11 +37,8 @@ package softwatt
 // and with a warm FF cache each extra wave costs only its new windows.
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,10 +47,10 @@ import (
 	"softwatt/internal/disk"
 	"softwatt/internal/ffstore"
 	"softwatt/internal/machine"
-	"softwatt/internal/obs"
 	"softwatt/internal/power"
 	"softwatt/internal/runner"
 	"softwatt/internal/stats"
+	"softwatt/internal/store"
 	"softwatt/internal/trace"
 	"softwatt/internal/workload"
 )
@@ -267,29 +264,18 @@ func fastForward(benchmark string, w machine.Workload, ffCfg machine.Config, cap
 
 // loadOrFastForward answers phase 1 from the reservoir store when a cache
 // directory is configured and holds the key, fast-forwarding (and saving)
-// otherwise. A file that exists but fails to load or validate is counted,
-// warned about, and rebuilt over — the corrupt-cache contract run logs and
-// resume checkpoints follow.
+// otherwise; a corrupt reservoir is rebuilt under the store's policy.
 func loadOrFastForward(benchmark string, w machine.Workload, ffCfg machine.Config, capacity int, dir string) (*ffstore.Reservoir, error) {
 	digest := ffConfigDigest(benchmark, ffCfg, capacity)
 	if dir == "" {
 		return fastForward(benchmark, w, ffCfg, capacity, digest)
 	}
 	st := ffstore.Store{Dir: dir}
-	r, err := st.Load(benchmark, digest)
+	r, err := store.Lookup(store.Reservoir, st.Path(benchmark, digest), ffstore.Decoder(benchmark, digest))
 	if err == nil {
-		obs.Batch().FFCacheHits.Inc()
 		return r, nil
 	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		obs.Batch().FFCacheCorrupt.Inc()
-		fmt.Fprintf(os.Stderr, "softwatt: corrupt fast-forward reservoir %s (rebuilding): %v\n",
-			st.Path(benchmark, digest), err)
-		os.Remove(st.Path(benchmark, digest))
-	}
-	obs.Batch().FFCacheMisses.Inc()
-	r, err = fastForward(benchmark, w, ffCfg, capacity, digest)
-	if err != nil {
+	if r, err = fastForward(benchmark, w, ffCfg, capacity, digest); err != nil {
 		return nil, err
 	}
 	if err := st.Save(r); err != nil {

@@ -2,25 +2,20 @@ package softwatt
 
 // Sampled-result persistence (DESIGN.md §14). A SampledResult is a report
 // artefact like a RunResult: once computed it can be saved and re-rendered
-// with zero simulation. This file mirrors the run-log cache contract for
-// sampled estimates — a versioned self-describing file (one SRES section
-// in the v2 log container), atomic writes, a digest key covering the
-// detailed configuration plus every sampling parameter that shapes the
-// estimate, corrupt files counted and re-sampled over.
+// with zero simulation. Sampled results live in internal/store like run
+// logs: a versioned self-describing file (one SRES section in a ckpt
+// container), a digest key covering the detailed configuration plus every
+// sampling parameter that shapes the estimate, one corrupt policy.
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
+	"io"
 	"strconv"
 
 	"softwatt/internal/ckpt"
 	"softwatt/internal/core"
 	"softwatt/internal/machine"
-	"softwatt/internal/obs"
+	"softwatt/internal/store"
 	"softwatt/internal/trace"
 )
 
@@ -70,7 +65,7 @@ func SampledCacheFileName(benchmark string, opt Options, so SampleOptions) (stri
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s-%s.swsmp", benchmark, digest), nil
+	return store.Sampled.Path("", benchmark, digest), nil
 }
 
 // encodeSampledResult serialises a result as an SRES payload.
@@ -163,66 +158,51 @@ func decodeSampledResult(data []byte) (*SampledResult, error) {
 	return res, nil
 }
 
-// SaveSampledResult serialises a sampled result to w in the v2 container
-// format (one SRES section). A loaded result re-renders the identical
-// report.
-func SaveSampledResult(w *os.File, r *SampledResult) error {
-	return trace.WriteSectionContainer(w, tagSampled, encodeSampledResult(r))
+// SaveSampledResult serialises a sampled result to w as a container with
+// one SRES section. A loaded result re-renders the identical report.
+func SaveSampledResult(w io.Writer, r *SampledResult) error {
+	return ckpt.WriteContainer(w, ckpt.Section{Tag: tagSampled, Payload: encodeSampledResult(r)})
 }
 
 // SaveSampledResultFile writes a sampled-result file, creating or
-// replacing path atomically (temp + rename): concurrent readers see the
-// old complete file, no file, or the new complete file.
+// replacing path atomically.
 func SaveSampledResultFile(path string, r *SampledResult) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	f, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := SaveSampledResult(f, r); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return store.Save(path, ckpt.Section{Tag: tagSampled, Payload: encodeSampledResult(r)})
 }
 
 // LoadSampledResultFile reads a sampled-result file.
 func LoadSampledResultFile(path string) (*SampledResult, error) {
-	data, err := os.ReadFile(path)
+	return store.Load(path, decodeSampledFile)
+}
+
+// decodeSampledFile parses a sampled-result file's bytes.
+func decodeSampledFile(data []byte) (*SampledResult, error) {
+	payload, err := ckpt.ReadSection(data, tagSampled)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := trace.ReadSectionContainer(bytes.NewReader(data), tagSampled)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	return decodeSampledResult(payload)
+}
+
+// sampledDecoder decodes a sampled-result file that must hold digest.
+func sampledDecoder(digest string) func([]byte) (*SampledResult, error) {
+	return func(data []byte) (*SampledResult, error) {
+		r, err := decodeSampledFile(data)
+		if err != nil {
+			return nil, err
+		}
+		if r.Digest != digest {
+			return nil, fmt.Errorf("sampled result has digest %s, want %s", r.Digest, digest)
+		}
+		return r, nil
 	}
-	r, err := decodeSampledResult(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
 }
 
 // RunSampledCached is RunSampled backed by a directory of saved sampled
 // results: a run whose result is present (matched by digest) loads instead
 // of simulating anything at all — no fast-forward, no windows — and a miss
-// samples and saves. A file that exists but fails to load is counted and
-// warned about, then re-sampled over; a digest mismatch is a plain miss.
-// This mirrors the run-log cache contract (RunBatchCached) for sampled
-// estimates.
+// samples and saves. A file that fails to load or records another digest
+// is corrupt under the store's policy, and is re-sampled over.
 func RunSampledCached(benchmark string, opt Options, so SampleOptions, dir string) (*SampledResult, error) {
 	if dir == "" {
 		return RunSampled(benchmark, opt, so)
@@ -231,22 +211,12 @@ func RunSampledCached(benchmark string, opt Options, so SampleOptions, dir strin
 	if err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, fmt.Sprintf("%s-%s.swsmp", benchmark, digest))
-	r, err := LoadSampledResultFile(path)
-	if err == nil && r.Digest == digest {
-		obs.Batch().SampledCacheHits.Inc()
+	path := store.Sampled.Path(dir, benchmark, digest)
+	r, err := store.Lookup(store.Sampled, path, sampledDecoder(digest))
+	if err == nil {
 		return r, nil
 	}
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		obs.Batch().SampledCacheCorrupt.Inc()
-		fmt.Fprintf(os.Stderr, "softwatt: corrupt sampled result %s (re-sampling): %v\n", path, err)
-	}
-	obs.Batch().SampledCacheMisses.Inc()
-	r, err = RunSampled(benchmark, opt, so)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if r, err = RunSampled(benchmark, opt, so); err != nil {
 		return nil, err
 	}
 	if err := SaveSampledResultFile(path, r); err != nil {

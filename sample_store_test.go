@@ -7,12 +7,15 @@ package softwatt
 // numbers — and a corrupt file heals by counting, warning, and rebuilding.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"softwatt/internal/ckpt"
 	"softwatt/internal/disk"
 	"softwatt/internal/ffstore"
 	"softwatt/internal/obs"
@@ -112,10 +115,9 @@ func TestMachineReuseMatchesFreshMachines(t *testing.T) {
 	}
 }
 
-// TestSampledResultFileRoundTrip: every field of a SampledResult survives
-// the SRES container, and a file that is not a sampled result fails to
-// load with an error rather than decoding garbage.
-func TestSampledResultFileRoundTrip(t *testing.T) {
+// testSampledResult builds a sampled result exercising every encoded
+// field.
+func testSampledResult() *SampledResult {
 	r := &SampledResult{
 		Benchmark:     "compress",
 		Core:          "mipsy",
@@ -142,7 +144,14 @@ func TestSampledResultFileRoundTrip(t *testing.T) {
 	for i := range r.DiskStats.StateCycles {
 		r.DiskStats.StateCycles[i] = uint64(1000*i + 1)
 	}
+	return r
+}
 
+// TestSampledResultFileRoundTrip: every field of a SampledResult survives
+// the SRES container, and a file that is not a sampled result fails to
+// load with an error rather than decoding garbage.
+func TestSampledResultFileRoundTrip(t *testing.T) {
+	r := testSampledResult()
 	path := filepath.Join(t.TempDir(), "result.swsmp")
 	if err := SaveSampledResultFile(path, r); err != nil {
 		t.Fatal(err)
@@ -256,4 +265,41 @@ func TestAdaptiveWindowCap(t *testing.T) {
 	if s.PowerCI95W <= 1e-9 {
 		t.Fatalf("CI half-width %.3g W implausibly met the unreachable target", s.PowerCI95W)
 	}
+}
+
+// FuzzReadSampledResult drives the sampled-result file decoder — the SRES
+// container and its payload — over arbitrary bytes. Hostile input must
+// fail with an error, never a panic or an allocation beyond the bytes
+// present, and any result that loads must re-encode to the same bytes.
+func FuzzReadSampledResult(f *testing.F) {
+	payload := encodeSampledResult(testSampledResult())
+	var file bytes.Buffer
+	if err := SaveSampledResult(&file, testSampledResult()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file.Bytes())
+	f.Add(file.Bytes()[:file.Len()/2])
+	f.Add(payload)
+	var lie bytes.Buffer // a window count far beyond the bytes present
+	lying := append([]byte(nil), payload[:len(payload)-2*(5*8)-4]...)
+	lying = binary.LittleEndian.AppendUint32(lying, 1<<30)
+	ckpt.WriteContainer(&lie, ckpt.Section{Tag: tagSampled, Payload: lying})
+	f.Add(lie.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeSampledFile(data)
+		if err != nil {
+			return
+		}
+		// Byte comparison, not DeepEqual: NaN float bits never compare
+		// equal.
+		enc := encodeSampledResult(r)
+		rt, err := decodeSampledResult(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted result failed: %v", err)
+		}
+		if !bytes.Equal(enc, encodeSampledResult(rt)) {
+			t.Fatal("accepted result does not round-trip")
+		}
+	})
 }
