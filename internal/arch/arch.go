@@ -134,23 +134,11 @@ type CPU struct {
 
 	bus Bus
 
-	// scratch buffers reused across Step calls
 	waiting bool
 
-	// Host-time caches (see fastpath.go). Never architecturally visible.
-	iuTLB   microTLB // last instruction-fetch translation
-	duTLB   microTLB // last data translation
-	pd      []pdLine // predecoded instruction lines
-	pdLimit uint32   // predecode only below this physical address (0 = off)
-	// Last-decode memo: the metadata of the word DecodeAt most recently
-	// decoded, keyed by its physical address. Serves the MetaAt lookup that
-	// dispatch stages perform right after the fetch. Cleared on every
-	// predecode invalidation.
-	lastDecPaddr uint32
-	lastDecMeta  *isa.Meta
-	// Predecode effectiveness telemetry (see FastStats).
-	pdHits   uint64
-	pdMisses uint64
+	// code is the superblock cache and its host translation caches (see
+	// blocks.go). Never architecturally visible.
+	code codeCache
 }
 
 // New creates a CPU in the post-reset state: kernel mode, exceptions off,
@@ -176,8 +164,7 @@ func (c *CPU) Reset() {
 	c.IP = 0
 	c.Halted = false
 	c.waiting = false
-	c.microInvalidate()
-	c.pdReset()
+	c.resetCode()
 }
 
 // Halt stops the processor (platform power-off).
@@ -217,19 +204,33 @@ const (
 )
 
 // translate maps a virtual address to physical. write selects the
-// store-permission check; mc is the translation micro-cache consulted in
-// front of the full TLB scan (the instruction-side or data-side entry).
-// Returns the physical address, a result code, and whether the hardware
-// performed a TLB lookup.
-func (c *CPU) translate(mc *microTLB, va uint32, write bool) (uint32, xlat, bool) {
+// store-permission check. Successful translations are served from (and
+// fill) the host translation caches. Returns the physical address, a
+// result code, and whether the hardware performed a TLB lookup.
+func (c *CPU) translate(va uint32, write bool) (uint32, xlat, bool) {
+	x := &c.code.rx
+	if write {
+		x = &c.code.wx
+	}
+	if pa, ok := c.xlat(x, va); ok {
+		return pa, xlatOK, tlbRegion(va)
+	}
+	return c.translateSlow(va, write)
+}
+
+// translateSlow is translate without the host-cache lookup: the segment
+// rules and the full TLB scan. A successful translation fills the cache.
+func (c *CPU) translateSlow(va uint32, write bool) (uint32, xlat, bool) {
+	var pa uint32
+	var r xlat
 	switch {
 	case va < isa.KUSEGTop: // useg: TLB-mapped, accessible from both modes
-		return c.tlbLookup(mc, va, write)
+		pa, r = c.tlbLookup(va, write)
 	case va < isa.KSEG1Base: // kseg0
 		if c.UserMode() {
 			return 0, xlatAddrErr, false
 		}
-		return va - isa.KSEG0Base, xlatOK, false
+		pa, r = va-isa.KSEG0Base, xlatOK
 	case va < isa.KSEG2Base: // kseg1 (uncached)
 		if c.UserMode() {
 			return 0, xlatAddrErr, false
@@ -239,48 +240,50 @@ func (c *CPU) translate(mc *microTLB, va uint32, write bool) (uint32, xlat, bool
 		if c.UserMode() {
 			return 0, xlatAddrErr, false
 		}
-		pa, r, _ := c.tlbLookup(mc, va, write)
-		return pa, r, true
+		pa, r = c.tlbLookup(va, write)
 	}
+	if r == xlatOK {
+		if write {
+			c.xfill(&c.code.wx, va, pa)
+		} else {
+			c.xfill(&c.code.rx, va, pa)
+		}
+	}
+	return pa, r, tlbRegion(va)
 }
 
-func (c *CPU) tlbLookup(mc *microTLB, va uint32, write bool) (uint32, xlat, bool) {
+// tlbLookup scans the TLB for va in the current address space.
+func (c *CPU) tlbLookup(va uint32, write bool) (uint32, xlat) {
 	vpn := va >> isa.PageShift
 	asid := c.ASID()
-	if mc.ok && mc.vpn == vpn && mc.asid == asid && (!write || mc.dirty) {
-		mc.hits++
-		return mc.pfn<<isa.PageShift | va&(isa.PageSize-1), xlatOK, true
-	}
-	mc.misses++
 	for i := range c.TLB {
 		e := &c.TLB[i]
 		if !e.InUse || e.VPN != vpn || (!e.G && e.ASID != asid) {
 			continue
 		}
 		if !e.V {
-			return 0, xlatInvalid, true
+			return 0, xlatInvalid
 		}
 		if write && !e.D {
-			return 0, xlatMod, true
+			return 0, xlatMod
 		}
-		// Successful translations (and only those) seed the micro-cache;
-		// the cached D bit keeps the store-permission check exact. Field
-		// assignments (not a struct literal) preserve the telemetry counts.
-		mc.vpn, mc.pfn, mc.asid, mc.dirty, mc.ok = vpn, e.PFN, asid, e.D, true
-		return e.PFN<<isa.PageShift | va&(isa.PageSize-1), xlatOK, true
+		return e.PFN<<isa.PageShift | va&(isa.PageSize-1), xlatOK
 	}
-	return 0, xlatMiss, true
+	return 0, xlatMiss
 }
 
 // ProbeTLB performs a lookup without permission checks; used by debug tools
-// and the out-of-order core's wrong-path fetch. It shares the
-// instruction-side micro-entry: a probe is a fetch-path translation.
+// and the out-of-order core's wrong-path fetch. A useg probe is exactly a
+// read translation, so it shares the host translation cache.
 func (c *CPU) ProbeTLB(va uint32) (uint32, bool) {
-	pa, r, _ := c.tlbLookup(&c.iuTLB, va, false)
-	if r == xlatOK {
-		return pa, true
+	var pa uint32
+	var r xlat
+	if va < isa.KUSEGTop {
+		pa, r, _ = c.translate(va, false)
+	} else {
+		pa, r = c.tlbLookup(va, false)
 	}
-	return 0, false
+	return pa, r == xlatOK
 }
 
 // raise vectors the CPU into an exception handler.
@@ -308,6 +311,7 @@ func (c *CPU) raise(info *StepInfo, code uint8, badva uint32, isRefillCandidate 
 	}
 	c.llBit = false
 	c.PC = vector
+	c.code.cur = nil
 	info.TookException = true
 	info.ExcCode = code
 	info.NextPC = vector
@@ -334,9 +338,20 @@ func (c *CPU) Step(cycle uint64) StepInfo {
 
 // StepInto is Step writing its result through out, so hot callers that
 // store the StepInfo anyway avoid two ~100-byte copies per instruction.
+//
+// With the code cache enabled (EnableBlocks), the instruction comes from
+// the current superblock: no fetch translation and no decode, and its
+// loads and stores use the host translation caches and RAM directly.
+// Everything the block cannot serve — interrupts, fetches that fault or
+// are uncached, instructions off the fast list, exceptions — is a slow
+// step: it takes the exact interpreter path and drops the cursor, since
+// only a slow step can change a translation or the mode. Either way the
+// StepInfo and the architectural state are exactly the interpreter's.
 func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 	info := out
 	*info = StepInfo{PC: c.PC, KernelMode: !c.UserMode()}
+	cc := &c.code
+	cc.meta = nil
 	if c.Halted {
 		info.Halted = true
 		info.NextPC = c.PC
@@ -346,6 +361,7 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 
 	// Deliver pending interrupts before fetch.
 	if c.pendingInterrupt() {
+		cc.stats.SlowSteps++
 		c.waiting = false
 		c.COP0[isa.C0Cause] = c.COP0[isa.C0Cause]&^0xFF00 | uint32(c.IP)<<isa.CauseIPShift
 		c.raise(info, isa.ExcInt, 0, false)
@@ -358,12 +374,81 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 		return
 	}
 
-	// Fetch.
+	// Fetch from the cursor's block while it is still at PC, else look the
+	// block up (or build it).
+	b, i := cc.cur, cc.curIdx
+	if b == nil || c.PC != cc.curPC {
+		if b = c.BlockAt(blockMaxOps); b == nil {
+			cc.stats.SlowSteps++
+			cc.cur = nil
+			c.stepExact(info)
+			return
+		}
+		i = 0
+		cc.cur, cc.curIdx, cc.curPC = b, 0, c.PC
+	}
+	op := c.fetched(info, b, i)
+	if i < b.NFast {
+		if i+1 < len(b.Ops) {
+			cc.curIdx++
+			cc.curPC += 4
+		} else {
+			cc.cur = nil
+		}
+		c.execute(info, &op.In)
+		if info.TookException {
+			cc.stats.SlowSteps++
+		}
+		return
+	}
+	cc.stats.SlowSteps++
+	cc.cur = nil
+	c.execute(info, &op.In)
+}
+
+// StepBlock is a slow step for the swift core's hand-offs to the
+// interpreter, which already hold the block: b.Ops[i] is the instruction
+// at PC, or b is nil when BlockAt could not serve PC. It runs that
+// instruction exactly as StepInto would, with no second block lookup.
+// The caller has already ruled out halt, a pending interrupt and WAIT
+// (StepInto handles those).
+func (c *CPU) StepBlock(cycle uint64, info *StepInfo, b *Block, i int) {
+	*info = StepInfo{PC: c.PC, KernelMode: !c.UserMode()}
+	cc := &c.code
+	cc.meta = nil
+	cc.cur = nil
+	cc.stats.SlowSteps++
+	c.COP0[isa.C0Count] = uint32(cycle)
+	if b == nil {
+		c.stepExact(info)
+		return
+	}
+	c.execute(info, &c.fetched(info, b, i).In)
+}
+
+// fetched reports the fetch of b.Ops[i], the instruction at PC, that the
+// block already did: the physical PC, the instruction and the
+// architected fetch TLB lookup. It returns the op.
+func (c *CPU) fetched(info *StepInfo, b *Block, i int) *Op {
+	op := &b.Ops[i]
+	info.PhysPC = b.PPC + uint32(i)*4
+	info.Fetched = true
+	info.Inst = op.In
+	if tlbRegion(c.PC) {
+		info.TLBLookups = 1
+	}
+	c.code.meta = &op.Meta
+	return op
+}
+
+// stepExact fetches and executes one instruction with no code cache: the
+// exact translation, raising any fetch fault, and a decode of the word.
+func (c *CPU) stepExact(info *StepInfo) {
 	if c.PC&3 != 0 {
 		c.raise(info, isa.ExcAdEL, c.PC, false)
 		return
 	}
-	ppc, xr, tlbed := c.translate(&c.iuTLB, c.PC, false)
+	ppc, xr, tlbed := c.translate(c.PC, false)
 	if tlbed {
 		info.TLBLookups++
 	}
@@ -383,6 +468,12 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 	info.Fetched = true
 	in := c.DecodeAt(ppc)
 	info.Inst = in
+	c.execute(info, &in)
+}
+
+// execute runs the fetched instruction in: the interpreter body shared by
+// block and exact fetches.
+func (c *CPU) execute(info *StepInfo, in *isa.Inst) {
 	nextPC := c.PC + 4
 
 	// TLBWR replacement pointer decays every instruction, MIPS-style.
@@ -516,11 +607,15 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 			c.raise(info, isa.ExcRI, 0, false)
 			return
 		}
-		c.COP0[in.Rd] = g[in.Rt]
+		if in.Rd == isa.C0EntryHi {
+			c.setEntryHi(g[in.Rt])
+		} else {
+			c.COP0[in.Rd] = g[in.Rt]
+		}
 	case isa.OpTLBR:
 		i := c.COP0[isa.C0Index] % NumTLB
 		e := c.TLB[i]
-		c.COP0[isa.C0EntryHi] = e.VPN<<isa.PageShift | uint32(e.ASID)
+		c.setEntryHi(e.VPN<<isa.PageShift | uint32(e.ASID))
 		c.COP0[isa.C0EntryLo] = PackEntryLo(e.PFN, e.V, e.D, e.G)
 	case isa.OpTLBWI:
 		c.tlbWrite(c.COP0[isa.C0Index] % NumTLB)
@@ -597,7 +692,7 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 		if !c.dataAccess(info, in, false) {
 			return
 		}
-		v := c.bus.ReadPhys(info.MemPaddr, int(info.MemSize))
+		v := c.readPhys(info.MemPaddr, int(info.MemSize))
 		switch in.Op {
 		case isa.OpLB:
 			g[in.Rt] = uint32(int8(v))
@@ -632,16 +727,14 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 		case isa.OpFSD:
 			v = f64bits(c.FPR[in.Rt])
 		}
-		c.bus.WritePhys(info.MemPaddr, int(info.MemSize), v)
-		c.pdInvalidateLine(info.MemPaddr)
+		c.writePhys(info.MemPaddr, int(info.MemSize), v)
 
 	case isa.OpSC:
 		if !c.dataAccess(info, in, true) {
 			return
 		}
 		if c.llBit && c.llAddr == info.MemPaddr {
-			c.bus.WritePhys(info.MemPaddr, 4, uint64(g[in.Rt]))
-			c.pdInvalidateLine(info.MemPaddr)
+			c.writePhys(info.MemPaddr, 4, uint64(g[in.Rt]))
 			g[in.Rt] = 1
 		} else {
 			g[in.Rt] = 0
@@ -657,7 +750,7 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 		va := g[in.Rs] + uint32(in.Imm)
 		info.CacheOp = true
 		info.CacheVaddr = va
-		pa, xr, tlbed := c.translate(&c.duTLB, va&^3, false)
+		pa, xr, tlbed := c.translate(va&^3, false)
 		if tlbed {
 			info.TLBLookups++
 		}
@@ -665,7 +758,6 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 		case xlatOK, xlatUncached:
 			info.CachePaddr = pa
 			info.CacheMapped = true
-			c.pdInvalidateLine(pa)
 		case xlatMiss:
 			c.raise(info, isa.ExcTLBL, va, va < isa.KUSEGTop)
 			return
@@ -679,7 +771,6 @@ func (c *CPU) StepInto(cycle uint64, out *StepInfo) {
 	g[0] = 0
 	c.PC = nextPC
 	info.NextPC = nextPC
-	return
 }
 
 // branch records a conditional branch outcome and updates nextPC.
@@ -693,7 +784,7 @@ func (c *CPU) branch(info *StepInfo, nextPC *uint32, taken bool, imm int32) {
 
 // dataAccess translates a load/store address, raising exceptions as needed.
 // It returns false if an exception was taken.
-func (c *CPU) dataAccess(info *StepInfo, in isa.Inst, write bool) bool {
+func (c *CPU) dataAccess(info *StepInfo, in *isa.Inst, write bool) bool {
 	va := c.GPR[in.Rs] + uint32(in.Imm)
 	size := in.MemSize()
 	info.MemVaddr = va
@@ -706,7 +797,7 @@ func (c *CPU) dataAccess(info *StepInfo, in isa.Inst, write bool) bool {
 		c.raise(info, code, va, false)
 		return false
 	}
-	pa, xr, tlbed := c.translate(&c.duTLB, va, write)
+	pa, xr, tlbed := c.translate(va, write)
 	if tlbed {
 		info.TLBLookups++
 	}
@@ -748,10 +839,35 @@ func (c *CPU) dataAccess(info *StepInfo, in isa.Inst, write bool) bool {
 	return true
 }
 
+// readPhys loads size bytes at physical address pa: straight from RAM
+// below the code cache's limit (exactly what the bus returns there), else
+// through the bus.
+func (c *CPU) readPhys(pa uint32, size int) uint64 {
+	if pa < c.code.limit {
+		return c.code.ram.Read(pa, size)
+	}
+	return c.bus.ReadPhys(pa, size)
+}
+
+// writePhys stores size bytes at physical address pa: straight into RAM
+// below the limit, reporting the store to the self-modifying-code
+// tracking (NoteStore), else through the bus.
+func (c *CPU) writePhys(pa uint32, size int, v uint64) {
+	if pa < c.code.limit {
+		c.code.ram.Write(pa, size, v)
+		c.NoteStore(pa)
+		return
+	}
+	c.bus.WritePhys(pa, size, v)
+}
+
 func (c *CPU) tlbWrite(idx uint32) {
-	c.microInvalidate()
 	hi := c.COP0[isa.C0EntryHi]
 	lo := c.COP0[isa.C0EntryLo]
+	if c.TLB[idx].InUse {
+		c.dropXlat(c.TLB[idx].VPN)
+	}
+	c.dropXlat(hi >> isa.PageShift)
 	c.TLB[idx] = TLBEntry{
 		VPN:   hi >> isa.PageShift,
 		ASID:  uint8(hi),

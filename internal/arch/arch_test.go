@@ -1,47 +1,30 @@
 package arch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
 	"softwatt/internal/isa"
+	"softwatt/internal/mem"
 )
 
-// ramBus is a flat 4 MB physical memory for tests.
+// ramBus is a flat 4 MB physical memory for tests, backed by a mem.RAM so
+// a CPU can run its code cache over it (EnableBlocks).
 type ramBus struct {
 	mem []byte
+	ram *mem.RAM
 }
 
-func newRAM() *ramBus { return &ramBus{mem: make([]byte, 4<<20)} }
-
-func (r *ramBus) ReadPhys(pa uint32, size int) uint64 {
-	switch size {
-	case 1:
-		return uint64(r.mem[pa])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(r.mem[pa:]))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(r.mem[pa:]))
-	case 8:
-		return binary.LittleEndian.Uint64(r.mem[pa:])
-	}
-	panic("bad size")
+func newRAM() *ramBus {
+	r := mem.NewRAM(4 << 20)
+	return &ramBus{mem: r.Bytes(), ram: r}
 }
 
-func (r *ramBus) WritePhys(pa uint32, size int, v uint64) {
-	switch size {
-	case 1:
-		r.mem[pa] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(r.mem[pa:], uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(r.mem[pa:], uint32(v))
-	case 8:
-		binary.LittleEndian.PutUint64(r.mem[pa:], v)
-	default:
-		panic("bad size")
-	}
-}
+// ReadPhys and WritePhys have mem.RAM's open-bus semantics: accesses past
+// the end of memory read zero and write nothing.
+func (r *ramBus) ReadPhys(pa uint32, size int) uint64     { return r.ram.Read(pa, size) }
+func (r *ramBus) WritePhys(pa uint32, size int, v uint64) { r.ram.Write(pa, size, v) }
 
 func (r *ramBus) load(p *isa.Program) {
 	for _, s := range p.Segments {
@@ -53,19 +36,33 @@ func (r *ramBus) load(p *isa.Program) {
 	}
 }
 
-// run assembles src, loads it, and steps until BREAK or maxSteps.
+// run assembles src and steps it until a BREAK is taken. Every program runs
+// twice in lockstep — on a CPU with the code cache enabled and on the plain
+// interpreter — and every StepInfo and the full architectural state must
+// agree at every step. The block-path CPU and its memory are returned.
 func run(t *testing.T, src string, maxSteps int) (*CPU, *ramBus) {
 	t.Helper()
 	p, err := isa.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bus := newRAM()
+	bus, xbus := newRAM(), newRAM()
 	bus.load(p)
-	c := New(bus)
+	xbus.load(p)
+	c, x := New(bus), New(xbus)
+	c.EnableBlocks(bus.ram, uint32(len(bus.mem)))
 	for i := 0; i < maxSteps; i++ {
 		info := c.Step(uint64(i))
+		if xi := x.Step(uint64(i)); info != xi {
+			t.Fatalf("step %d: block path %+v\nexact      %+v", i, info, xi)
+		}
+		if c.Snapshot() != x.Snapshot() {
+			t.Fatalf("step %d: architectural state diverged: block %s, exact %s", i, c, x)
+		}
 		if info.TookException && info.ExcCode == isa.ExcBreak {
+			if !bytes.Equal(bus.mem, xbus.mem) {
+				t.Fatal("memory diverged between the block path and the exact interpreter")
+			}
 			return c, bus
 		}
 		if info.TookException && info.ExcCode == isa.ExcRI {

@@ -2,8 +2,8 @@ package arch
 
 // Checkpoint support (DESIGN.md §13). The architectural state that must
 // survive a save/restore is exactly what Snapshot captures; the host-only
-// derived caches (predecode table, micro-TLBs) are rebuilt lazily, so
-// Restore invalidates them instead of serialising them.
+// code cache (superblocks, host translation caches) is rebuilt lazily, so
+// Restore invalidates it instead of serialising it.
 
 import (
 	"softwatt/internal/ckpt"
@@ -11,8 +11,8 @@ import (
 )
 
 // Restore overwrites the CPU's architectural state from a snapshot and
-// invalidates every host-side derived cache (micro-TLBs, predecode), which
-// refill lazily and by contract never influence architected results.
+// invalidates the code cache with one O(1) epoch bump; it refills lazily
+// and by contract never influences architected results.
 func (c *CPU) Restore(s Snapshot) {
 	c.GPR = s.GPR
 	for i, b := range s.FPR {
@@ -28,8 +28,7 @@ func (c *CPU) Restore(s Snapshot) {
 	c.IP = s.IP
 	c.waiting = s.Wait
 	c.Halted = s.Halted
-	c.microInvalidate()
-	c.pdReset()
+	c.resetCode()
 }
 
 // EncodeSnapshot serialises a snapshot.

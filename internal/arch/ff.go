@@ -5,11 +5,9 @@ package arch
 // instructions without going through StepInto, while remaining
 // architecturally exact. Everything here either reads state without side
 // effects or reproduces, bit for bit, a state transition StepInto performs
-// (the TLBWR replacement-pointer decay). Translation helpers share the same
-// micro-TLB entries as StepInto, so alternating fast and slow execution
-// keeps one coherent translation state.
-
-import "softwatt/internal/isa"
+// (the TLBWR replacement-pointer decay). The blocks and host translation
+// caches swift executes through are StepInto's own (blocks.go), so
+// alternating fast and slow execution keeps one coherent state.
 
 // PendingInterrupt reports whether an enabled external interrupt is
 // pending. A fast-forward executor must check this at every point StepInto
@@ -20,58 +18,6 @@ func (c *CPU) PendingInterrupt() bool { return c.pendingInterrupt() }
 // Waiting reports whether the CPU is stopped in WAIT. A waiting CPU burns
 // cycles without fetching until an enabled interrupt arrives.
 func (c *CPU) Waiting() bool { return c.waiting }
-
-// FetchTranslate resolves an instruction-fetch virtual address through the
-// fetch-side micro-TLB with no architectural side effects. ok is false for
-// every case the fast path must not handle itself — TLB miss/invalid,
-// address error, user-mode kseg access, and uncached (kseg1) fetches — in
-// which case the caller re-executes via StepInto for the exact exception.
-func (c *CPU) FetchTranslate(va uint32) (pa uint32, ok bool) {
-	switch {
-	case va < isa.KUSEGTop:
-		pa, r, _ := c.tlbLookup(&c.iuTLB, va, false)
-		return pa, r == xlatOK
-	case va < isa.KSEG1Base: // kseg0
-		if c.UserMode() {
-			return 0, false
-		}
-		return va - isa.KSEG0Base, true
-	case va >= isa.KSEG2Base: // kseg2
-		if c.UserMode() {
-			return 0, false
-		}
-		pa, r, _ := c.tlbLookup(&c.iuTLB, va, false)
-		return pa, r == xlatOK
-	default: // kseg1: uncached, never fast
-		return 0, false
-	}
-}
-
-// DataTranslate resolves a load/store virtual address through the data-side
-// micro-TLB with no architectural side effects. write selects the TLB dirty
-// (store-permission) check, so a clean page correctly falls back to the
-// slow path, which raises TLBMod. ok is false exactly when StepInto's
-// dataAccess would not produce a plain cached RAM access.
-func (c *CPU) DataTranslate(va uint32, write bool) (pa uint32, ok bool) {
-	switch {
-	case va < isa.KUSEGTop:
-		pa, r, _ := c.tlbLookup(&c.duTLB, va, write)
-		return pa, r == xlatOK
-	case va < isa.KSEG1Base: // kseg0
-		if c.UserMode() {
-			return 0, false
-		}
-		return va - isa.KSEG0Base, true
-	case va >= isa.KSEG2Base: // kseg2
-		if c.UserMode() {
-			return 0, false
-		}
-		pa, r, _ := c.tlbLookup(&c.duTLB, va, write)
-		return pa, r == xlatOK
-	default: // kseg1: uncached (MMIO), never fast
-		return 0, false
-	}
-}
 
 // DecayRandom advances the TLBWR replacement pointer by n instructions'
 // worth of decay in O(1), reproducing exactly what n StepInto calls do:
@@ -89,8 +35,8 @@ func (c *CPU) DecayRandom(n int) {
 
 // Snapshot is a comparable copy of the complete architectural state, for
 // lockstep equivalence harnesses. FPR values are raw bits so NaN patterns
-// compare equal; host-only caches (micro-TLBs, predecode) are excluded by
-// design — they must never influence architected state.
+// compare equal; the host-only code cache is excluded by design — it must
+// never influence architected state.
 type Snapshot struct {
 	GPR    [32]uint32
 	FPR    [32]uint64

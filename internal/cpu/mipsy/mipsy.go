@@ -44,10 +44,6 @@ type Core struct {
 	// skipped counts WAIT-poll cycles elided by TickBatch (telemetry).
 	skipped uint64
 
-	// mscratch is step's fallback metadata buffer for instructions whose
-	// predecode line is not resident.
-	mscratch isa.Meta
-
 	// scratch holds the current instruction's StepInfo. Kept on the Core so
 	// passing its address to the commit callback does not force a heap
 	// allocation per instruction (a stack-local would escape).
@@ -198,18 +194,10 @@ func (c *Core) step(cycle uint64, commit func(*arch.StepInfo)) int {
 
 	in := info.Inst
 
-	// Dispatch metadata: the predecode sidecar serves the dependency counts,
-	// class and latency in one load (equivalent to the Uses/Defs/Info calls
-	// it replaces; computed from in itself when the line is not resident).
-	var mt *isa.Meta
-	if info.Fetched {
-		if mt = c.cpu.LastMeta(info.PhysPC); mt == nil {
-			mt = c.cpu.MetaAt(info.PhysPC, in, &c.mscratch)
-		}
-	} else {
-		in.Fill(&c.mscratch)
-		mt = &c.mscratch
-	}
+	// Dispatch metadata comes with the block op the step executed: the
+	// dependency counts, class and latency in one load (equivalent to the
+	// Uses/Defs/Info calls it replaces).
+	mt := c.cpu.StepMeta(in)
 
 	// Register file traffic.
 	u[trace.UnitRegRead] += uint64(mt.NUses)

@@ -76,9 +76,6 @@ const (
 
 const never = math.MaxUint64
 
-// never32 marks "no wrong-path fetch address" during dispatch.
-const never32 = math.MaxUint32
-
 // Front-end restart delays after a trap-class redirect commits: taking an
 // exception pays the pipeline privilege switch plus the vector fetch;
 // returning with ERET is cheaper (the target is architectural state).
@@ -253,10 +250,9 @@ type Core struct {
 	// allocation per fetched instruction (a stack-local would escape).
 	scratch arch.StepInfo
 
-	// mscratch is dispatch's fallback metadata buffer for instructions whose
-	// predecode line is not resident (MMIO-region fetches, interrupt
-	// dispatches with no fetched word).
-	mscratch isa.Meta
+	// wpOp holds a wrong-path instruction no block holds, decoded with
+	// its metadata (wrong-path instructions never execute).
+	wpOp arch.Op
 }
 
 // New creates an MXS core. bus is the physical address space used for
@@ -882,7 +878,7 @@ func (c *Core) fetch(cycle uint64, commit func(*arch.StepInfo)) {
 		}
 		e := &c.rob[slot]
 		real := !c.wrongPath && c.fetchPC == c.cpu.PC
-		var wpPaddr uint32
+		var wp *arch.Op
 		e.pc = c.fetchPC
 		e.issueAt = cycle + uint64(c.cfg.FrontDepth)
 		e.real = real
@@ -915,7 +911,6 @@ func (c *Core) fetch(cycle uint64, commit func(*arch.StepInfo)) {
 					e.issueAt += uint64(ilat - 1)
 				}
 			}
-			wpPaddr = never32
 		} else {
 			// Wrong-path fetch: read memory, decode, never execute.
 			c.Bogus++
@@ -929,25 +924,18 @@ func (c *Core) fetch(cycle uint64, commit func(*arch.StepInfo)) {
 			if ilat > 1 {
 				e.issueAt += uint64(ilat - 1)
 			}
-			e.inst = c.decodeWrongPath(paddr)
-			wpPaddr = paddr
+			wp = c.decodeWrongPath(c.fetchPC, paddr)
+			e.inst = wp.In
 		}
 
-		// Dispatch metadata: one predecode-sidecar load replaces the Deps
-		// switch plus the class/latency/serializing table lookups. The
-		// sidecar entry is what Fill computes for the identical decoded word,
-		// so the fallback (non-resident line, no fetched word) is equivalent.
+		// Dispatch metadata: the block op's copy (the executed op's, or the
+		// wrong-path op's) replaces the Deps switch plus the class/latency/
+		// serializing table lookups.
 		var mt *isa.Meta
-		switch {
-		case real && e.info.Fetched:
-			if mt = c.cpu.LastMeta(e.info.PhysPC); mt == nil {
-				mt = c.cpu.MetaAt(e.info.PhysPC, e.inst, &c.mscratch)
-			}
-		case !real && wpPaddr != never32 && c.bus != nil:
-			mt = c.cpu.MetaAt(wpPaddr, e.inst, &c.mscratch)
-		default:
-			e.inst.Fill(&c.mscratch)
-			mt = &c.mscratch
+		if real {
+			mt = c.cpu.StepMeta(e.inst)
+		} else {
+			mt = &wp.Meta
 		}
 		e.class = mt.Class
 		e.lat = mt.Lat
@@ -1162,16 +1150,24 @@ func (c *Core) translateFetch(pc uint32) (uint32, bool) {
 	}
 }
 
-// decodeWrongPath decodes instruction bytes for wrong-path fetch. When the
-// core fetches from the same bus the functional CPU sees (the normal
-// machine wiring), it shares the CPU's predecode cache — a wrong-path line
-// decodes once, not once per speculative fetch. The MMIO region is never
-// executable, so this has no device side effects.
-func (c *Core) decodeWrongPath(paddr uint32) isa.Inst {
-	if c.bus == nil {
-		return isa.Decode(0)
+// decodeWrongPath returns the op at pc (physical paddr) for a wrong-path
+// fetch. When the core fetches from the same bus the functional CPU sees
+// (the normal machine wiring), that is the code cache's op when a block
+// holds it, else the word decoded straight from memory. The MMIO region
+// is never executable, so this has no device side effects.
+func (c *Core) decodeWrongPath(pc, paddr uint32) *arch.Op {
+	var in isa.Inst
+	if c.bus != nil {
+		if op := c.cpu.PeekOp(pc, paddr); op != nil {
+			return op
+		}
+		in = c.cpu.DecodeAt(paddr)
+	} else {
+		in = isa.Decode(0)
 	}
-	return c.cpu.DecodeAt(paddr)
+	c.wpOp.In = in
+	in.Fill(&c.wpOp.Meta)
+	return &c.wpOp
 }
 
 // countFU charges a functional-unit access for real-path work only;

@@ -7,14 +7,10 @@ package swift
 // through the raw interpreter — and their complete architectural state
 // must match after every single cycle.
 //
-// The programs mix curated encodings of every fast-path opcode (with
-// random registers, shifts, and immediates, including the JALR rd == rs
-// link-then-jump case), loads and stores aimed at a partially-mapped,
-// partially-writable useg window, local branches, and completely random
-// words that decode to anything at all — privileged ops, syscalls,
-// reserved instructions. Exception vectors land in the same randomized
-// memory, so fault handling "runs" random code too. Whatever happens,
-// both sides must agree bit for bit.
+// The programs come from isatest.Program, with registers aimed at a
+// partially-mapped, partially-writable useg window. Exception vectors land
+// in the same randomized memory, so fault handling "runs" random code too.
+// Whatever happens, both sides must agree bit for bit.
 
 import (
 	"math/rand"
@@ -23,6 +19,7 @@ import (
 
 	"softwatt/internal/arch"
 	"softwatt/internal/isa"
+	"softwatt/internal/isa/isatest"
 	"softwatt/internal/mem"
 )
 
@@ -47,83 +44,7 @@ const (
 
 // lsProgram generates one randomized code image.
 func lsProgram(rng *rand.Rand) []byte {
-	buf := make([]byte, lsCodeLen)
-	put := func(off int, w uint32) {
-		buf[off] = byte(w)
-		buf[off+1] = byte(w >> 8)
-		buf[off+2] = byte(w >> 16)
-		buf[off+3] = byte(w >> 24)
-	}
-	reg := func() uint8 { return uint8(rng.Intn(32)) }
-	aluOps := []isa.Op{
-		isa.OpSLL, isa.OpSRL, isa.OpSRA, isa.OpSLLV, isa.OpSRLV, isa.OpSRAV,
-		isa.OpMUL, isa.OpDIV, isa.OpREM, isa.OpDIVU, isa.OpREMU,
-		isa.OpADD, isa.OpADDU, isa.OpSUB, isa.OpSUBU,
-		isa.OpAND, isa.OpOR, isa.OpXOR, isa.OpNOR, isa.OpSLT, isa.OpSLTU,
-		isa.OpADDI, isa.OpADDIU, isa.OpSLTI, isa.OpSLTIU,
-		isa.OpANDI, isa.OpORI, isa.OpXORI, isa.OpLUI,
-	}
-	fpOps := []isa.Op{
-		isa.OpMFC1, isa.OpMTC1, isa.OpFADD, isa.OpFSUB, isa.OpFMUL,
-		isa.OpFDIV, isa.OpFSQRT, isa.OpFABS, isa.OpFMOV, isa.OpFNEG,
-		isa.OpCVTDW, isa.OpCVTWD, isa.OpFCEQ, isa.OpFCLT, isa.OpFCLE,
-	}
-	memOps := []isa.Op{
-		isa.OpLB, isa.OpLH, isa.OpLW, isa.OpLBU, isa.OpLHU,
-		isa.OpSB, isa.OpSH, isa.OpSW, isa.OpFLD, isa.OpFSD,
-	}
-	brOps := []isa.Op{
-		isa.OpBLTZ, isa.OpBGEZ, isa.OpBEQ, isa.OpBNE, isa.OpBLEZ,
-		isa.OpBGTZ, isa.OpBC1F, isa.OpBC1T,
-	}
-	for off := 0; off < lsCodeLen; off += 4 {
-		var w uint32
-		switch p := rng.Intn(100); {
-		case p < 45: // integer/shift/immediate ALU
-			op := aluOps[rng.Intn(len(aluOps))]
-			w = isa.Encode(isa.Inst{
-				Op: op, Rs: reg(), Rt: reg(), Rd: reg(),
-				Shamt: uint8(rng.Intn(32)), Imm: int32(int16(rng.Uint32())),
-			})
-		case p < 55: // floating point
-			op := fpOps[rng.Intn(len(fpOps))]
-			w = isa.Encode(isa.Inst{Op: op, Rs: reg(), Rt: reg(), Rd: reg()})
-		case p < 75: // loads/stores: small offsets around the seeded bases
-			op := memOps[rng.Intn(len(memOps))]
-			w = isa.Encode(isa.Inst{
-				Op: op, Rs: reg(), Rt: reg(),
-				Imm: int32(int16(rng.Intn(0x4000) - 0x2000)),
-			})
-		case p < 90: // local branches
-			op := brOps[rng.Intn(len(brOps))]
-			w = isa.Encode(isa.Inst{
-				Op: op, Rs: reg(), Rt: reg(),
-				Imm: int32(rng.Intn(256) - 128),
-			})
-		case p < 94: // jump-register pair, including JALR rd == rs
-			rs := reg()
-			rd := rs
-			if rng.Intn(2) == 0 {
-				rd = reg()
-			}
-			if rng.Intn(2) == 0 {
-				w = isa.Encode(isa.Inst{Op: isa.OpJR, Rs: rs})
-			} else {
-				w = isa.Encode(isa.Inst{Op: isa.OpJALR, Rs: rs, Rd: rd})
-			}
-		case p < 97: // absolute jumps kept inside the code region
-			t := lsCodeBase + uint32(rng.Intn(lsCodeLen))&^3
-			op := isa.OpJ
-			if rng.Intn(2) == 0 {
-				op = isa.OpJAL
-			}
-			w = isa.Encode(isa.Inst{Op: op, Target: t})
-		default: // raw random word: reserved, privileged, anything
-			w = rng.Uint32()
-		}
-		put(off, w)
-	}
-	return buf
+	return isatest.Program(rng, lsCodeBase, lsCodeLen)
 }
 
 // lsSide is one machine half: a CPU over a flat RAM.
@@ -186,7 +107,8 @@ func TestLockstepRandomPrograms(t *testing.T) {
 				code := lsProgram(rand.New(rand.NewSource(seed)))
 				fastSide := lsSetup(code, rand.New(rand.NewSource(seed*977)))
 				refSide := lsSetup(code, rand.New(rand.NewSource(seed*977)))
-				core := New(fastSide.cpu, fastSide.ram, nopSync{}, lsRAMBytes)
+				fastSide.cpu.EnableBlocks(fastSide.ram, lsRAMBytes)
+				core := New(fastSide.cpu, fastSide.ram, nopSync{})
 
 				var info arch.StepInfo
 				retired := uint64(0)

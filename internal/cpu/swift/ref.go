@@ -8,11 +8,13 @@ import (
 // Reference is the oracle for the lockstep equivalence harness: a
 // functional core that follows the exact same batch protocol as Core —
 // same batch boundaries, same cycle accounting, same stop-on-uncached
-// rule — but executes every single instruction through arch.StepInto.
-// Driving a swift machine and a Reference machine with identical budgets
-// therefore produces identical device timelines, so any architectural
-// divergence is the fast path's fault and is caught at the exact
-// instruction that introduced it.
+// rule — but executes every single instruction through arch.StepInto on
+// a CPU whose code cache is off (the machine never enables it for this
+// core), so blocks, their invalidation and the host translation caches
+// are all checked against plain decoding. Driving a swift machine and a
+// Reference machine with identical budgets therefore produces identical
+// device timelines, so any architectural divergence is the fast path's
+// fault and is caught at the exact instruction that introduced it.
 type Reference struct {
 	cpu       *arch.CPU
 	sync      CycleSync
@@ -49,11 +51,6 @@ func (r *Reference) RunBatch(start, budget uint64) (ran, retired uint64) {
 	r.committed += retired
 	return ran, retired
 }
-
-// InvalidateCode implements the batch interface; the interpreter has no
-// cached decodes beyond the predecode cache, which the machine already
-// invalidates on DMA.
-func (r *Reference) InvalidateCode(pa uint32, n int) {}
 
 // Tick implements the machine Core interface (unused by the batch loop).
 func (r *Reference) Tick(cycle uint64, commit func(*arch.StepInfo)) {

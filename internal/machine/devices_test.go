@@ -1,8 +1,13 @@
 package machine
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"softwatt/internal/disk"
+	"softwatt/internal/isa"
+	"softwatt/internal/kern"
 	"softwatt/internal/trace"
 )
 
@@ -152,5 +157,44 @@ func TestSampleWindowsCoverRun(t *testing.T) {
 	}
 	if covered != m.Collector().TotalCycles() {
 		t.Fatalf("windows cover %d of %d cycles", covered, m.Collector().TotalCycles())
+	}
+}
+
+// A guest-programmed DMA buffer that does not lie wholly in RAM must fail
+// like any other bad disk request — a console diagnostic and the disk IRQ
+// — instead of panicking the host when completion slices RAM. The second
+// address's end wraps 2³² in 32-bit arithmetic.
+func TestDiskDMAOutsideRAMRejected(t *testing.T) {
+	m, err := New(testConfig(CoreMipsy), buildWorkload(t, "hello", helloSrc, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dma := range []uint32{0x0FFF_F000, 0xFFFF_F000} {
+		m.mmioWrite(kern.DiskSector, 0)
+		m.mmioWrite(kern.DiskCount, 8)
+		m.mmioWrite(kern.DiskDMA, dma)
+		m.mmioWrite(kern.DiskCmd, kern.DiskCmdRead)
+		m.dsk.Advance(math.MaxUint64) // a submitted request would complete here
+		if m.cpu.IP&(1<<isa.IntDisk) == 0 {
+			t.Errorf("DMA %#x: disk IRQ not raised", dma)
+		}
+		if !strings.Contains(m.Console(), "disk error") {
+			t.Errorf("DMA %#x: no console diagnostic (console %q)", dma, m.Console())
+		}
+		m.mmioWrite(kern.DiskAck, 0)
+		m.console.Reset()
+	}
+}
+
+// A restored checkpoint can carry an in-flight request diskCommand never
+// checked; completion must reject its range the same way.
+func TestDiskCompleteRejectsDMAOutsideRAM(t *testing.T) {
+	m, err := New(testConfig(CoreMipsy), buildWorkload(t, "hello", helloSrc, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.diskComplete(disk.Request{Sector: 0, Count: 8, DMAAddr: 0x0FFF_F000})
+	if m.cpu.IP&(1<<isa.IntDisk) == 0 || !strings.Contains(m.Console(), "disk error") {
+		t.Fatalf("out-of-RAM completion: irq=%v console %q", m.cpu.IP&(1<<isa.IntDisk) != 0, m.Console())
 	}
 }

@@ -75,9 +75,6 @@ type batchCore interface {
 	// RunBatch executes up to budget cycles from cycle start, returning
 	// cycles consumed and instructions retired (WAIT idling excluded).
 	RunBatch(start, budget uint64) (ran, retired uint64)
-	// InvalidateCode drops cached decoded state overlapping [pa, pa+n)
-	// after DMA writes RAM behind the CPU's back.
-	InvalidateCode(pa uint32, n int)
 }
 
 // tickBatchCore is implemented by detailed (per-cycle) timing models that
@@ -323,12 +320,12 @@ func New(cfg Config, w Workload) (*Machine, error) {
 	m.dsk.MarkWritten(0, n)
 
 	m.cpu = arch.New(m)
-	// Predecode covers all of RAM below the MMIO window: a line fill reads
-	// 64 bytes, and only RAM reads are side-effect-free. The swift core
-	// skips it: superblocks are its decode cache, and the table's per-run
-	// allocation is measurable against a fast-forward pass.
-	if cfg.Core != CoreSwift {
-		m.cpu.EnablePredecode(m.pdLimit())
+	// The code cache covers all of RAM below the MMIO window, where direct
+	// RAM access is exactly what the bus does. The swift reference core is
+	// the plain interpreter by design: it is the oracle the cache is
+	// checked against.
+	if cfg.Core != CoreSwiftRef {
+		m.cpu.EnableBlocks(m.ram, m.fastLimit())
 	}
 	if err := m.newCore(); err != nil {
 		return nil, err
@@ -354,8 +351,8 @@ func New(cfg Config, w Workload) (*Machine, error) {
 	return m, nil
 }
 
-// pdLimit returns the predecode/fast-path bound: RAM below the MMIO window.
-func (m *Machine) pdLimit() uint32 {
+// fastLimit returns the code cache's bound: RAM below the MMIO window.
+func (m *Machine) fastLimit() uint32 {
 	limit := uint32(kern.MMIOBase)
 	if uint64(m.cfg.RAMBytes) < uint64(kern.MMIOBase) {
 		limit = uint32(m.cfg.RAMBytes)
@@ -382,7 +379,7 @@ func (m *Machine) newCore() error {
 		c.IntUnits, c.FPUnits = 1, 1
 		m.core = mxs.New(m.cpu, m.hier, m.col, m, c)
 	case CoreSwift:
-		m.core = swift.New(m.cpu, m.ram, m, m.pdLimit())
+		m.core = swift.New(m.cpu, m.ram, m)
 	case CoreSwiftRef:
 		m.core = swift.NewReference(m.cpu, m)
 	default:
@@ -959,31 +956,55 @@ func (m *Machine) diskCommand(cmd uint32) {
 			Count:   m.dcCount,
 			DMAAddr: m.dcDMA,
 		}
-		if _, err := m.dsk.Submit(m.cycle, req); err != nil {
-			// Hardware-style error: raise the IRQ immediately so the
-			// kernel does not deadlock; diagnostics via console.
-			fmt.Fprintf(&m.console, "[disk error: %v]\n", err)
-			m.cpu.SetIRQ(isa.IntDisk, true)
+		err := m.dmaRangeErr(req)
+		if err == nil {
+			_, err = m.dsk.Submit(m.cycle, req)
+		}
+		if err != nil {
+			m.diskError(err)
 		}
 	case kern.DiskCmdSleep:
 		_ = m.dsk.Sleep(m.cycle)
 	}
 }
 
-// diskComplete is the DMA + IRQ callback at request completion.
+// dmaRangeErr rejects a request whose DMA buffer does not lie wholly in
+// RAM. DMAAddr and Count are guest-written registers, so the range is
+// computed in uint64: its end must not wrap 2³² into a bogus in-range
+// slice.
+func (m *Machine) dmaRangeErr(req disk.Request) error {
+	end := uint64(req.DMAAddr) + uint64(req.Count)*disk.SectorSize
+	if end > uint64(m.ram.Size()) {
+		return fmt.Errorf("disk: DMA range %#x+%d sectors outside RAM", req.DMAAddr, req.Count)
+	}
+	return nil
+}
+
+// diskError is the hardware-style error path: raise the IRQ immediately
+// so the kernel does not deadlock; diagnostics via console.
+func (m *Machine) diskError(err error) {
+	fmt.Fprintf(&m.console, "[disk error: %v]\n", err)
+	m.cpu.SetIRQ(isa.IntDisk, true)
+}
+
+// diskComplete is the DMA + IRQ callback at request completion. The range
+// is checked again: a restored checkpoint can carry an in-flight request
+// that diskCommand never saw.
 func (m *Machine) diskComplete(req disk.Request) {
+	if err := m.dmaRangeErr(req); err != nil {
+		m.diskError(err)
+		return
+	}
 	n := int(req.Count) * disk.SectorSize
+	buf := m.ram.Bytes()[req.DMAAddr : int(req.DMAAddr)+n]
 	if req.Write {
-		m.dsk.Write(req.Sector, m.ram.Bytes()[req.DMAAddr:int(req.DMAAddr)+n])
+		m.dsk.Write(req.Sector, buf)
 	} else {
-		m.dsk.Read(req.Sector, m.ram.Bytes()[req.DMAAddr:int(req.DMAAddr)+n])
-		// DMA writes RAM behind the CPU's back; drop any predecoded code
-		// in the landing zone and record the dirtied pages.
-		m.cpu.InvalidatePredecode(req.DMAAddr, n)
+		m.dsk.Read(req.Sector, buf)
+		// DMA writes RAM behind the CPU's back: drop any cached code in
+		// the landing zone and record the dirtied pages.
+		m.cpu.InvalidateCode(req.DMAAddr, n)
 		m.ram.MarkDirty(req.DMAAddr, n)
-		if m.bc != nil {
-			m.bc.InvalidateCode(req.DMAAddr, n)
-		}
 	}
 	m.cpu.SetIRQ(isa.IntDisk, true)
 }

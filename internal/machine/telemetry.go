@@ -5,14 +5,15 @@ package machine
 // a telemetry block and publishes counter deltas into the process registry
 // every obsIntervalCycles simulated cycles and once more when the run
 // ends. Everything published is read from counters the simulator already
-// maintains — the caches' hit/miss counts, the CPU's host-cache
-// effectiveness stats, the collector's totals and flushed sample windows,
+// maintains — the caches' hit/miss counts, the CPU's code-cache
+// counters, the collector's totals and flushed sample windows,
 // the disk's activity statistics — so publication never perturbs
 // architected state and the golden byte-identity contract (DESIGN.md §9)
 // holds with telemetry on. With metrics disabled the only residue is one
 // always-false comparison per cycle in Run (obsNext stays at MaxUint64).
 
 import (
+	"softwatt/internal/arch"
 	"softwatt/internal/disk"
 	"softwatt/internal/mem"
 	"softwatt/internal/obs"
@@ -36,10 +37,6 @@ type telemetry struct {
 	cacheHits   [3]*obs.Counter
 	cacheMisses [3]*obs.Counter
 	cacheWB     [3]*obs.Counter
-	utlbHits    [2]*obs.Counter // i, d
-	utlbMisses  [2]*obs.Counter
-	pdHits      *obs.Counter
-	pdMisses    *obs.Counter
 
 	modeCycles [trace.NumModes]*obs.Counter
 
@@ -47,7 +44,8 @@ type telemetry struct {
 	coreFlushes *obs.Counter
 	wrongPath   *obs.Counter
 
-	// Superblock cache observability (swift fast-forward core).
+	// Superblock code cache observability (the functional CPU's, shared
+	// by all three cores).
 	sbHits    *obs.Counter
 	sbMisses  *obs.Counter
 	sbInval   *obs.Counter
@@ -69,14 +67,10 @@ type telemetry struct {
 	diskStateCy []*obs.Counter
 
 	// Last-published snapshots.
-	lastCycles uint64
-	lastInsts  uint64
-	lastCache  [3]mem.CacheSnapshot
-	lastFast   struct {
-		pdH, pdM uint64
-		tlbH     [2]uint64
-		tlbM     [2]uint64
-	}
+	lastCycles  uint64
+	lastInsts   uint64
+	lastCache   [3]mem.CacheSnapshot
+	lastBlocks  arch.BlockStats
 	lastCore    obs.CoreCounters
 	lastSkipped uint64
 	lastDisk    disk.Stats
@@ -93,15 +87,6 @@ func newTelemetry() *telemetry {
 		t.cacheMisses[i] = r.Counter("softwatt_cache_misses_total", "Simulated cache misses.", lbl)
 		t.cacheWB[i] = r.Counter("softwatt_cache_writebacks_total", "Simulated cache writebacks.", lbl)
 	}
-	for i, side := range [2]string{"i", "d"} {
-		lbl := obs.Label("side", side)
-		t.utlbHits[i] = r.Counter("softwatt_microtlb_hits_total",
-			"Host micro-TLB hits (translation fast path).", lbl)
-		t.utlbMisses[i] = r.Counter("softwatt_microtlb_misses_total",
-			"Host micro-TLB misses (full TLB scans).", lbl)
-	}
-	t.pdHits = r.Counter("softwatt_predecode_hits_total", "Predecoded I-cache hits.", "")
-	t.pdMisses = r.Counter("softwatt_predecode_misses_total", "Predecode line fills.", "")
 	for m := trace.Mode(0); m < trace.NumModes; m++ {
 		t.modeCycles[m] = r.Counter("softwatt_mode_cycles_total",
 			"Simulated cycles attributed per software mode (from flushed sample windows).",
@@ -110,14 +95,14 @@ func newTelemetry() *telemetry {
 	t.mispredicts = r.Counter("softwatt_bpred_mispredicts_total", "Branch mispredictions (MXS).", "")
 	t.coreFlushes = r.Counter("softwatt_core_flushes_total", "Serializing/exception pipeline flushes (MXS).", "")
 	t.wrongPath = r.Counter("softwatt_wrongpath_insts_total", "Wrong-path instructions fetched (MXS).", "")
-	t.sbHits = r.Counter("softwatt_swift_superblock_hits_total",
-		"Superblock cache hits (swift fast-forward core).", "")
-	t.sbMisses = r.Counter("softwatt_swift_superblock_misses_total",
-		"Superblock builds/rebuilds (swift fast-forward core).", "")
-	t.sbInval = r.Counter("softwatt_swift_superblock_invalidations_total",
-		"Code-page invalidations from stores or DMA (swift core).", "")
-	t.slowSteps = r.Counter("softwatt_swift_slow_steps_total",
-		"Instructions delegated to the exact interpreter (swift core).", "")
+	t.sbHits = r.Counter("softwatt_superblock_hits_total",
+		"Superblock lookups served from the code cache (at block entry; all cores).", "")
+	t.sbMisses = r.Counter("softwatt_superblock_misses_total",
+		"Superblock builds/rebuilds (all cores).", "")
+	t.sbInval = r.Counter("softwatt_superblock_invalidations_total",
+		"Code-page invalidations from stores or DMA (all cores).", "")
+	t.slowSteps = r.Counter("softwatt_slow_steps_total",
+		"Steps through the exact interpreter: interrupts, fetches no block serves, off-list ops, exceptions, swift hand-offs (all cores).", "")
 	t.skipCycles = r.Counter("softwatt_mxs_skip_cycles_total",
 		"Cycles elided by the next-event clock skip (MXS event-driven scheduler).", "")
 	t.windowOcc = r.Histogram("softwatt_mxs_window_occupancy",
@@ -163,24 +148,17 @@ func (m *Machine) publishObs() {
 		t.lastCache[i] = s
 	}
 
-	fs := m.cpu.FastStats()
-	t.pdHits.Add(fs.PredecodeHits - t.lastFast.pdH)
-	t.pdMisses.Add(fs.PredecodeMisses - t.lastFast.pdM)
-	for i, hm := range [2][2]uint64{{fs.ITLBHits, fs.ITLBMisses}, {fs.DTLBHits, fs.DTLBMisses}} {
-		t.utlbHits[i].Add(hm[0] - t.lastFast.tlbH[i])
-		t.utlbMisses[i].Add(hm[1] - t.lastFast.tlbM[i])
-		t.lastFast.tlbH[i], t.lastFast.tlbM[i] = hm[0], hm[1]
-	}
-	t.lastFast.pdH, t.lastFast.pdM = fs.PredecodeHits, fs.PredecodeMisses
+	bs := m.cpu.BlockStats()
+	t.sbHits.Add(bs.Hits - t.lastBlocks.Hits)
+	t.sbMisses.Add(bs.Misses - t.lastBlocks.Misses)
+	t.sbInval.Add(bs.Invalidations - t.lastBlocks.Invalidations)
+	t.slowSteps.Add(bs.SlowSteps - t.lastBlocks.SlowSteps)
+	t.lastBlocks = bs
 
 	cc := m.core.Counters()
 	t.mispredicts.Add(cc.Mispredicts - t.lastCore.Mispredicts)
 	t.coreFlushes.Add(cc.Flushes - t.lastCore.Flushes)
 	t.wrongPath.Add(cc.WrongPath - t.lastCore.WrongPath)
-	t.sbHits.Add(cc.SBHits - t.lastCore.SBHits)
-	t.sbMisses.Add(cc.SBMisses - t.lastCore.SBMisses)
-	t.sbInval.Add(cc.SBInvalidations - t.lastCore.SBInvalidations)
-	t.slowSteps.Add(cc.SlowSteps - t.lastCore.SlowSteps)
 	t.lastCore = cc
 	t.skipCycles.Add(m.skipped - t.lastSkipped)
 	t.lastSkipped = m.skipped

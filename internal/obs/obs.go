@@ -56,14 +56,4 @@ type CoreCounters struct {
 	// ReadyDepth is the number of issue-ready window entries at sampling
 	// time (out-of-order core only; instantaneous).
 	ReadyDepth uint64
-	// SBHits and SBMisses count superblock cache lookups served from the
-	// cache versus (re)builds (swift fast-forward core only).
-	SBHits   uint64
-	SBMisses uint64
-	// SBInvalidations counts superblock page invalidations — stores or
-	// DMA landing in decoded code pages (swift core only).
-	SBInvalidations uint64
-	// SlowSteps counts instructions the fast-forward core delegated to
-	// the exact interpreter (swift core only).
-	SlowSteps uint64
 }

@@ -2,7 +2,9 @@
 # Runs the simulator throughput benchmark and emits BENCH_softwatt.json —
 # a machine-readable snapshot of simulation speed (Mcycles/s, Minsts/s,
 # ns/inst per core) plus host metadata, for CI artifacts and before/after
-# comparisons. A second entry runs BenchmarkSampledSpeedup: a ~10^8-cycle
+# comparisons. The "step" row is the functional layer alone:
+# internal/arch's BenchmarkStepInto, StepInto over a compress instruction
+# stream at one cycle per step, gated like the core rows. A second entry runs BenchmarkSampledSpeedup: a ~10^8-cycle
 # workload simulated both ways (full-detail mipsy vs sampled, DESIGN.md
 # §13), recorded as the "sampled" object with its wall-clock speedup. A
 # third runs BenchmarkSampledWarmFF: the same sampled workload cold (the
@@ -49,6 +51,7 @@ if [ -n "${BENCH_CPUPROFILE:-}" ]; then
 	profargs=(-cpuprofile "$BENCH_CPUPROFILE" -o "${BENCH_CPUPROFILE%.pprof}.test")
 fi
 go test -run '^$' -bench 'BenchmarkSimulatorThroughput' -benchtime "${BENCHTIME:-5x}" "${profargs[@]}" . | tee "$raw"
+go test -run '^$' -bench 'BenchmarkStepInto$' -benchtime 50x ./internal/arch | tee -a "$raw"
 go test -run '^$' -bench 'BenchmarkSampledSpeedup$' -benchtime 1x . | tee "$sraw"
 go test -run '^$' -bench 'BenchmarkSampledWarmFF' -benchtime 1x . | tee "$wraw"
 
@@ -80,9 +83,11 @@ awk -v out="$out" -v rev="$rev" -v date="$date" \
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }
 /^goos:/ { goos = $2 }
 /^goarch:/ { goarch = $2 }
-/^BenchmarkSimulatorThroughput\// {
+/^BenchmarkSimulatorThroughput\/|^BenchmarkStepInto-/ {
     # BenchmarkSimulatorThroughput/<core>-N  iters  T ns/op  X Mcycles/s  Y Minsts/s  Z ns/inst
+    # BenchmarkStepInto-N  iters  T ns/op  X Mcycles/s  Z ns/inst (the "step" row)
     split($1, parts, "/"); core = parts[2]; sub(/-[0-9]+$/, "", core)
+    if ($1 ~ /^BenchmarkStepInto/) core = "step"
     cores[core] = 1
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")      nsop[core]  = $i
