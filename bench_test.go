@@ -29,12 +29,21 @@ var benchCache = struct {
 	fig9 []Fig9Row
 }{}
 
+// allBench is the six-benchmark spec list under one option set.
+func allBench(opt Options) []RunSpec {
+	specs := make([]RunSpec, len(Benchmarks))
+	for i, b := range Benchmarks {
+		specs[i] = RunSpec{Benchmark: b, Options: opt}
+	}
+	return specs
+}
+
 func mxsRuns(b *testing.B) []*RunResult {
 	b.Helper()
 	benchCache.Lock()
 	defer benchCache.Unlock()
 	if benchCache.mxs == nil {
-		runs, err := RunAll(Options{Core: "mxs"})
+		runs, err := RunBatch(allBench(Options{Core: "mxs"}), BatchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +57,7 @@ func idleRuns(b *testing.B) []*RunResult {
 	benchCache.Lock()
 	defer benchCache.Unlock()
 	if benchCache.idle == nil {
-		runs, err := RunAll(Options{Core: "mxs", DiskPolicy: "idle"})
+		runs, err := RunBatch(allBench(Options{Core: "mxs", DiskPolicy: "idle"}), BatchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,7 +186,7 @@ func BenchmarkFig9DiskSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchCache.Lock()
 		if benchCache.fig9 == nil {
-			rows, err := SweepDiskConfigs(nil)
+			rows, err := sweep(Benchmarks, BatchOptions{})
 			if err != nil {
 				benchCache.Unlock()
 				b.Fatal(err)
@@ -298,7 +307,7 @@ func BenchmarkFig9SweepWorkers(b *testing.B) {
 	for _, j := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows, err := SweepDiskConfigsBatch(nil, nil, BatchOptions{Workers: j})
+				rows, err := sweep(Benchmarks, BatchOptions{Workers: j})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -491,7 +500,7 @@ func BenchmarkA1IdleHalt(b *testing.B) {
 func BenchmarkA2TraceEstimation(b *testing.B) {
 	est := NewEstimator()
 	for i := 0; i < b.N; i++ {
-		runs, err := RunAll(Options{Core: "mipsy"})
+		runs, err := RunBatch(allBench(Options{Core: "mipsy"}), BatchOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

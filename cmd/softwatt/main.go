@@ -23,7 +23,8 @@
 // With -sample, -o saves the sampled result (.swsmp) instead of a run
 // log; -replay re-renders either kind of file. -ckpt makes full detailed
 // runs resumable: periodic checkpoints are saved to the directory and an
-// interrupted run continues from its last one.
+// interrupted run continues from its last one. -ckpt, -eprof and -timeline
+// apply to full detailed runs only, and are rejected with -sample or -ci.
 //
 // Usage:
 //
@@ -49,31 +50,24 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"softwatt"
+	"softwatt/internal/cli"
 	"softwatt/internal/obs"
-	"softwatt/internal/prof"
 )
 
 func main() {
-	pr := prof.Flags()
-	ob := obs.Flags()
-	coreKind := flag.String("core", "mxs", "CPU model: mipsy, mxs, mxs1, or swift (functional fast-forward, no power numbers)")
+	cl := cli.Register(flag.CommandLine, "mxs", "CPU model: mipsy, mxs, mxs1, or swift (functional fast-forward, no power numbers)")
 	diskPol := flag.String("disk", "conventional", "disk policy: conventional, idle, standby2, standby4")
-	jobs := flag.Int("j", 0, "simulations to run in parallel (0 = one per CPU)")
 	profile := flag.Bool("profile", false, "print the execution/power time profile (paper Figs. 3/4)")
 	services := flag.Bool("services", true, "print the kernel service table (paper Table 4)")
 	outFile := flag.String("o", "", "save the complete run as a run log (single benchmark only)")
 	replay := flag.Bool("replay", false, "arguments are saved run logs: report from them without simulating")
-	sample := flag.Int("sample", 0, "estimate power from N sampled detailed windows instead of a full run (0 = full detail)")
-	window := flag.Uint64("window", 0, "detailed cycles per sample window (0 = default 200000)")
-	ciTarget := flag.Float64("ci", 0, "adaptive sampling: add window waves until the 95% CI half-width is at most this many watts (0 = fixed window count)")
 	maxWindows := flag.Int("maxwindows", 0, "window cap for adaptive sampling (0 = default 32)")
-	ffCache := flag.String("ffcache", "", "fast-forward reservoir cache directory: sampled runs restore saved fast-forward passes and save new ones")
-	ckptDir := flag.String("ckpt", "", "checkpoint directory: detailed runs save periodic checkpoints and resume from the last one")
 	eprofFile := flag.String("eprof", "", "write the guest energy profile as a gzipped pprof profile.proto to this file (single benchmark only; view with go tool pprof)")
 	timeline := flag.Uint64("timeline", 0, "record a power timeline point every N cycles into the run result (0 = off); export live when -http/-trace are active")
 	flag.Usage = func() {
@@ -86,17 +80,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := pr.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.Exit(1)
-	}
-	defer pr.Stop()
-	if err := ob.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.Exit(1)
-	}
-	prof.OnExit(ob.Stop)
-	defer ob.Stop()
+	cl.Start()
+	defer cl.Stop()
 	est := softwatt.NewEstimator()
 	if *replay {
 		for i, path := range flag.Args() {
@@ -110,8 +95,7 @@ func main() {
 			}
 			res, err := softwatt.LoadResultFile(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				prof.Exit(1)
+				cli.Fail(err)
 			}
 			if i > 0 {
 				fmt.Println()
@@ -122,41 +106,30 @@ func main() {
 	}
 	benches := flag.Args()
 	if *outFile != "" && len(benches) > 1 {
-		fmt.Fprintln(os.Stderr, "softwatt: -o needs a single benchmark")
-		os.Exit(2)
+		cli.Usage(errors.New("softwatt: -o needs a single benchmark"))
 	}
 	if *eprofFile != "" && len(benches) > 1 {
-		fmt.Fprintln(os.Stderr, "softwatt: -eprof needs a single benchmark")
-		os.Exit(2)
+		cli.Usage(errors.New("softwatt: -eprof needs a single benchmark"))
 	}
-	opt := softwatt.Options{
-		Core: *coreKind, DiskPolicy: *diskPol, CheckpointDir: *ckptDir,
-		EnergyProfile:  *eprofFile != "",
-		TimelineCycles: *timeline,
+	if err := cl.CheckSampled(); err != nil {
+		cli.Usage(err)
 	}
+	opt := cl.Options()
+	opt.DiskPolicy = *diskPol
+	opt.EnergyProfile = *eprofFile != ""
+	opt.TimelineCycles = *timeline
 
-	if *sample > 0 || *ciTarget > 0 {
-		if *eprofFile != "" {
-			fmt.Fprintln(os.Stderr, "softwatt: -eprof needs a full detailed run, not -sample")
-			os.Exit(2)
-		}
+	if cl.Sampled() {
 		// Sampled estimation replaces the detailed report; the sample
 		// windows do not produce the service/profile data a run log holds,
 		// so -o saves the sampled result itself (-replay re-renders it).
-		so := softwatt.SampleOptions{
-			Windows:      *sample,
-			WindowCycles: *window,
-			Workers:      *jobs,
-			Progress:     obs.NewProgress(os.Stderr).Cell,
-			TargetCIW:    *ciTarget,
-			MaxWindows:   *maxWindows,
-			FFCacheDir:   *ffCache,
-		}
+		so := cl.SampleOptions()
+		so.Progress = obs.NewProgress(os.Stderr).Cell
+		so.MaxWindows = *maxWindows
 		for i, bench := range benches {
 			res, err := softwatt.RunSampled(bench, opt, so)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				prof.Exit(1)
+				cli.Fail(err)
 			}
 			if i > 0 {
 				fmt.Println()
@@ -166,8 +139,7 @@ func main() {
 			// byte-identical between a live run and its -replay.
 			if *outFile != "" {
 				if err := softwatt.SaveSampledResultFile(*outFile, res); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					prof.Exit(1)
+					cli.Fail(err)
 				}
 				fmt.Fprintf(os.Stderr, "wrote sampled result %s\n", *outFile)
 			}
@@ -175,19 +147,20 @@ func main() {
 		return
 	}
 
-	for _, bench := range benches {
+	specs := make([]softwatt.RunSpec, len(benches))
+	for i, bench := range benches {
+		specs[i] = softwatt.RunSpec{Benchmark: bench, Options: opt}
 		if path, ok := softwatt.ResumableCheckpoint(bench, opt); ok {
 			fmt.Fprintf(os.Stderr, "softwatt: %s resumes from %s\n", bench, path)
 		}
 	}
-	batch := softwatt.BatchOptions{Workers: *jobs}
+	batch := cl.BatchOptions()
 	if len(benches) > 1 {
 		batch.Progress = obs.NewProgress(os.Stderr).Cell
 	}
-	results, err := softwatt.RunMatrixBatch(benches, nil, opt, batch)
+	results, err := softwatt.RunBatch(specs, batch)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.Exit(1)
+		cli.Fail(err)
 	}
 
 	for i, res := range results {
@@ -201,15 +174,13 @@ func main() {
 	// between a live run and its -replay.
 	if *outFile != "" {
 		if err := softwatt.SaveResultFile(*outFile, results[0]); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(1)
+			cli.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote run log %s\n", *outFile)
 	}
 	if *eprofFile != "" {
 		if err := softwatt.WriteEnergyProfileFile(*eprofFile, results[0]); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(1)
+			cli.Fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote energy profile %s\n", *eprofFile)
 	}

@@ -45,46 +45,28 @@ import (
 	"strings"
 
 	"softwatt"
+	"softwatt/internal/cli"
 	"softwatt/internal/machine"
 	"softwatt/internal/mem"
 	"softwatt/internal/obs"
-	"softwatt/internal/prof"
 	"softwatt/internal/trace"
 )
 
 func main() {
-	pr := prof.Flags()
-	ob := obs.Flags()
+	cl := cli.Register(flag.CommandLine, "", "override every experiment's CPU model (mipsy, mxs, mxs1, swift); default: each experiment's paper configuration. swift is a functional pass: power columns are not meaningful")
 	exp := flag.String("exp", "all", "experiment id (see DESIGN.md §4) or 'all'")
-	jobs := flag.Int("j", 0, "simulations to run in parallel (0 = one per CPU)")
 	logsDir := flag.String("logs", "", "run-log cache directory: load saved runs, save simulated ones")
-	coreKind := flag.String("core", "", "override every experiment's CPU model (mipsy, mxs, mxs1, swift); default: each experiment's paper configuration. swift is a functional pass: power columns are not meaningful")
-	ckptDir := flag.String("ckpt", "", "checkpoint directory: simulated cells save periodic checkpoints and resume from the last one")
-	sample := flag.Int("sample", 0, "detailed windows for the s1 sampled cross-check (0 = default 4)")
-	window := flag.Uint64("window", 0, "detailed cycles per s1 sample window (0 = default 100000)")
-	ciTarget := flag.Float64("ci", 0, "adaptive s1 sampling: add window waves until the 95% CI half-width is at most this many watts")
-	ffCache := flag.String("ffcache", "", "fast-forward reservoir cache directory for the s1 sampled run")
 	eprofTop := flag.Int("eprof-top", 0, "log-viewer mode: print the N hottest guest code regions by energy from each positional run log")
 	timelineSpark := flag.Bool("timeline", false, "log-viewer mode: print each positional run log's power timeline as terminal sparklines")
 	timelineCSV := flag.Bool("timeline-csv", false, "log-viewer mode: print each positional run log's power timeline as CSV")
 	eprofOut := flag.String("eprof", "", "log-viewer mode: write the single positional run log's energy profile as a gzipped pprof file")
 	flag.Parse()
-	if err := pr.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.Exit(1)
-	}
-	defer pr.Stop()
-	if err := ob.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.Exit(1)
-	}
-	prof.OnExit(ob.Stop)
-	defer ob.Stop()
+	cl.Start()
+	defer cl.Stop()
 
 	if *eprofTop > 0 || *timelineSpark || *timelineCSV || *eprofOut != "" {
 		if err := viewLogs(flag.Args(), *eprofTop, *timelineSpark, *timelineCSV, *eprofOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(1)
+			cli.Fail(err)
 		}
 		return
 	}
@@ -93,13 +75,10 @@ func main() {
 	if *exp == "all" {
 		ids = []string{"v1", "t1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "t2", "t3", "t4", "t5", "x1", "x2", "f9", "a1", "a2", "s1"}
 	}
-	st := &state{est: softwatt.NewEstimator(), workers: *jobs, logsDir: *logsDir,
-		core: *coreKind, ckptDir: *ckptDir, sampleN: *sample, windowW: *window,
-		ciTarget: *ciTarget, ffCache: *ffCache}
+	st := &state{est: softwatt.NewEstimator(), flags: cl, logsDir: *logsDir}
 	for _, id := range ids {
 		if err := st.run(strings.TrimSpace(id)); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", id, err)
-			prof.Exit(1)
+			cli.Fail(fmt.Errorf("experiment %s: %v", id, err))
 		}
 	}
 }
@@ -143,39 +122,28 @@ func viewLogs(paths []string, top int, spark, csv bool, eprofOut string) error {
 
 type state struct {
 	est       *softwatt.Estimator
-	workers   int
-	logsDir   string
-	core      string                // -core override; "" keeps per-experiment defaults
-	ckptDir   string                // -ckpt: resumable cells
-	sampleN   int                   // -sample: s1 window count
-	windowW   uint64                // -window: s1 window length
-	ciTarget  float64               // -ci: s1 adaptive CI target (watts)
-	ffCache   string                // -ffcache: s1 fast-forward reservoir cache
+	flags     *cli.Flags            // the shared run flags (-core override, -ckpt, -j, s1's sampling)
+	logsDir   string                // -logs: run-log and sampled-result cache
 	mxsRuns   []*softwatt.RunResult // cached all-benchmark MXS results
 	mipsyRuns []*softwatt.RunResult // cached all-benchmark Mipsy results
-}
-
-// batch returns the batch options every multi-run experiment shares:
-// the -j worker count and per-cell progress (rate, ETA, failures) on
-// stderr.
-func (s *state) batch() softwatt.BatchOptions {
-	return softwatt.BatchOptions{
-		Workers:  s.workers,
-		Progress: obs.NewProgress(os.Stderr).Cell,
-	}
 }
 
 // runs sends a list of cells through the run-log cache (when -logs is
 // set): saved logs load instead of simulating, misses simulate and save.
 // A -core override rewrites every cell's CPU model before submission.
+// Every multi-run experiment shares the -j worker count and per-cell
+// progress (rate, ETA, failures) on stderr.
 func (s *state) runs(specs []softwatt.RunSpec) ([]*softwatt.RunResult, error) {
 	for i := range specs {
-		if s.core != "" {
-			specs[i].Options.Core = s.core
+		if s.flags.Core != "" {
+			specs[i].Options.Core = s.flags.Core
 		}
-		specs[i].Options.CheckpointDir = s.ckptDir
+		specs[i].Options.CheckpointDir = s.flags.Ckpt
 	}
-	return softwatt.RunBatchCached(specs, s.logsDir, s.batch())
+	b := s.flags.BatchOptions()
+	b.Progress = obs.NewProgress(os.Stderr).Cell
+	b.LogDir = s.logsDir
+	return softwatt.RunBatch(specs, b)
 }
 
 // one is runs for a single cell.
@@ -370,33 +338,12 @@ func (s *state) run(id string) error {
 	case "f9":
 		hdr("F9: disk power management sweep (Figure 9)")
 		fmt.Fprintln(os.Stderr, "running 4 disk configurations x 6 benchmarks...")
-		var specs []softwatt.RunSpec
-		for _, bench := range softwatt.Benchmarks {
-			for _, pol := range softwatt.DiskPolicies {
-				specs = append(specs, softwatt.RunSpec{
-					Benchmark: bench,
-					Options:   softwatt.Options{Core: "mipsy", DiskPolicy: pol},
-					Label:     bench + "/" + pol,
-				})
-			}
-		}
+		specs := softwatt.DiskSweepSpecs(softwatt.Benchmarks, softwatt.Options{Core: "mipsy"})
 		results, err := s.runs(specs)
 		if err != nil {
 			return err
 		}
-		rows := make([]softwatt.Fig9Row, len(results))
-		for i, r := range results {
-			rows[i] = softwatt.Fig9Row{
-				Benchmark:  specs[i].Benchmark,
-				Policy:     specs[i].Options.DiskPolicy,
-				DiskJ:      r.DiskEnergyJ,
-				IdleCycles: r.IdleCycles,
-				Spinups:    r.DiskStats.Spinups,
-				Spindowns:  r.DiskStats.Spindowns,
-				Cycles:     r.TotalCycles,
-			}
-		}
-		fmt.Print(softwatt.RenderFig9(rows))
+		fmt.Print(softwatt.RenderFig9(softwatt.Fig9Rows(specs, results)))
 
 	case "a1":
 		hdr("A1 (extension): halting the idle loop (§5 proposal)")
@@ -431,15 +378,15 @@ func (s *state) run(id string) error {
 		hdr("S1 (extension): sampled simulation vs full detail (DESIGN.md §13)")
 		// The stock benchmarks are short (sampling exists for runs far past
 		// them), so the cross-check defaults to a light 4 x 100k window set.
-		so := softwatt.SampleOptions{Windows: s.sampleN, WindowCycles: s.windowW, Workers: s.workers,
-			TargetCIW: s.ciTarget, FFCacheDir: s.ffCache}
+		so := s.flags.SampleOptions()
+		so.LogDir = s.logsDir
 		if so.Windows == 0 {
 			so.Windows = 4
 		}
 		if so.WindowCycles == 0 {
 			so.WindowCycles = 100_000
 		}
-		sr, err := softwatt.RunSampledCached("compress", softwatt.Options{Core: "mipsy"}, so, s.logsDir)
+		sr, err := softwatt.RunSampled("compress", softwatt.Options{Core: "mipsy"}, so)
 		if err != nil {
 			return err
 		}

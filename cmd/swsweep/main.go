@@ -29,7 +29,8 @@
 // -sample, -logs caches each cell's sampled result (a warm sweep renders
 // with zero simulation) and -ffcache persists each cell's fast-forward
 // reservoir, so re-sweeping the grid with different sampling parameters
-// skips the ~10⁸-cycle fast-forward per cell.
+// skips the ~10⁸-cycle fast-forward per cell. -ckpt, -eprof and -timeline
+// apply to full detailed cells only, and are rejected with -sample or -ci.
 //
 // Usage:
 //
@@ -45,22 +46,14 @@ import (
 	"path/filepath"
 
 	"softwatt"
+	"softwatt/internal/cli"
 	"softwatt/internal/obs"
-	"softwatt/internal/prof"
 )
 
 func main() {
-	pr := prof.Flags()
-	ob := obs.Flags()
-	jobs := flag.Int("j", 0, "simulations to run in parallel (0 = one per CPU)")
+	cl := cli.Register(flag.CommandLine, "mipsy", "CPU model driving the sweep: mipsy, mxs, mxs1, or swift (fast functional pass: disk timeline without power attribution)")
 	quiet := flag.Bool("q", false, "suppress per-cell progress on stderr")
 	logsDir := flag.String("logs", "", "run-log cache directory: load saved cells, save simulated ones")
-	coreKind := flag.String("core", "mipsy", "CPU model driving the sweep: mipsy, mxs, mxs1, or swift (fast functional pass: disk timeline without power attribution)")
-	ckptDir := flag.String("ckpt", "", "checkpoint directory: cells save periodic checkpoints and resume from the last one")
-	sample := flag.Int("sample", 0, "estimate each cell from N sampled detailed windows instead of a full run (0 = full detail)")
-	window := flag.Uint64("window", 0, "detailed cycles per sample window (0 = default 200000)")
-	ciTarget := flag.Float64("ci", 0, "adaptive sampling: add window waves per cell until the 95% CI half-width is at most this many watts")
-	ffCache := flag.String("ffcache", "", "fast-forward reservoir cache directory for sampled cells")
 	eprofDir := flag.String("eprof", "", "write each cell's guest energy profile (gzipped pprof) into this directory as <bench>_<policy>.pb.gz")
 	timeline := flag.Uint64("timeline", 0, "record a power timeline point every N cycles into each cell's run result (0 = off)")
 	flag.Usage = func() {
@@ -68,88 +61,45 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if err := pr.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.Exit(1)
-	}
-	defer pr.Stop()
-	if err := ob.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.Exit(1)
-	}
-	prof.OnExit(ob.Stop)
-	defer ob.Stop()
+	cl.Start()
+	defer cl.Stop()
 
 	benches := flag.Args()
 	if len(benches) == 0 {
 		benches = softwatt.Benchmarks
 	}
+	if err := cl.CheckSampled(); err != nil {
+		cli.Usage(err)
+	}
+	opt := cl.Options()
+	opt.EnergyProfile = *eprofDir != ""
+	opt.TimelineCycles = *timeline
+	specs := softwatt.DiskSweepSpecs(benches, opt)
 
-	if *sample > 0 || *ciTarget > 0 {
-		if *eprofDir != "" || *timeline > 0 {
-			fmt.Fprintln(os.Stderr, "swsweep: -eprof/-timeline need full detailed cells, not -sample")
-			os.Exit(2)
-		}
-		so := softwatt.SampleOptions{
-			Windows:      *sample,
-			WindowCycles: *window,
-			Workers:      *jobs,
-			TargetCIW:    *ciTarget,
-			FFCacheDir:   *ffCache,
-		}
-		if err := sampledSweep(benches, *coreKind, so, *logsDir, *quiet); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(1)
+	if cl.Sampled() {
+		so := cl.SampleOptions()
+		so.LogDir = *logsDir
+		if err := sampledSweep(specs, so, *quiet); err != nil {
+			cli.Fail(err)
 		}
 		return
 	}
 
 	if *eprofDir != "" {
 		if err := os.MkdirAll(*eprofDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			prof.Exit(1)
+			cli.Fail(err)
 		}
 	}
-	var specs []softwatt.RunSpec
-	for _, bench := range benches {
-		for _, pol := range softwatt.DiskPolicies {
-			specs = append(specs, softwatt.RunSpec{
-				Benchmark: bench,
-				Options: softwatt.Options{
-					Core: *coreKind, DiskPolicy: pol, CheckpointDir: *ckptDir,
-					EnergyProfile:  *eprofDir != "",
-					TimelineCycles: *timeline,
-				},
-				Label: bench + "/" + pol,
-			})
-		}
-	}
-
-	b := softwatt.BatchOptions{Workers: *jobs}
+	b := cl.BatchOptions()
+	b.LogDir = *logsDir
 	if !*quiet {
 		b.Progress = obs.NewProgress(os.Stderr).Cell
 	}
-	results, err := softwatt.RunBatchCached(specs, *logsDir, b)
+	results, err := softwatt.RunBatch(specs, b)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		prof.Exit(1)
+		cli.Fail(err)
 	}
-	rows := make([]softwatt.Fig9Row, len(results))
-	for i, r := range results {
-		if r == nil {
-			continue
-		}
-		rows[i] = softwatt.Fig9Row{
-			Benchmark:  specs[i].Benchmark,
-			Policy:     specs[i].Options.DiskPolicy,
-			DiskJ:      r.DiskEnergyJ,
-			IdleCycles: r.IdleCycles,
-			Spinups:    r.DiskStats.Spinups,
-			Spindowns:  r.DiskStats.Spindowns,
-			Cycles:     r.TotalCycles,
-		}
-	}
-	fmt.Print(softwatt.RenderFig9(rows))
+	fmt.Print(softwatt.RenderFig9(softwatt.Fig9Rows(specs, results)))
 	if *eprofDir != "" {
 		for i, r := range results {
 			if r == nil {
@@ -164,8 +114,7 @@ func main() {
 			path := filepath.Join(*eprofDir,
 				specs[i].Benchmark+"_"+specs[i].Options.DiskPolicy+".pb.gz")
 			if err := softwatt.WriteEnergyProfileFile(path, r); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				prof.Exit(1)
+				cli.Fail(err)
 			}
 		}
 		fmt.Fprintf(os.Stderr, "wrote energy profiles to %s\n", *eprofDir)
@@ -177,41 +126,29 @@ func main() {
 // its swift fast-forward pass; CPU power is a sampled estimate, reported
 // with its confidence interval in a second table. Cells run one after
 // another — the parallelism is inside each cell, across its detailed
-// windows. With a log directory, each cell's sampled result is cached
-// (saved as it completes, loaded on a warm sweep instead of simulating);
-// with so.FFCacheDir, the per-cell fast-forward reservoirs persist too.
-func sampledSweep(benches []string, coreKind string, so softwatt.SampleOptions, logsDir string, quiet bool) error {
+// windows. With so.LogDir, each cell's sampled result is cached (saved as
+// it completes, loaded on a warm sweep instead of simulating); with
+// so.FFCacheDir, the per-cell fast-forward reservoirs persist too.
+func sampledSweep(specs []softwatt.RunSpec, so softwatt.SampleOptions, quiet bool) error {
 	if !quiet {
 		so.Progress = obs.NewProgress(os.Stderr).Cell
 	}
-	var rows []softwatt.Fig9Row
-	var sampled []*softwatt.SampledResult
-	for _, bench := range benches {
-		for _, pol := range softwatt.DiskPolicies {
-			if !quiet {
-				fmt.Fprintf(os.Stderr, "sampling %s/%s...\n", bench, pol)
-			}
-			r, err := softwatt.RunSampledCached(bench, softwatt.Options{Core: coreKind, DiskPolicy: pol}, so, logsDir)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", bench, pol, err)
-			}
-			rows = append(rows, softwatt.Fig9Row{
-				Benchmark:  bench,
-				Policy:     pol,
-				DiskJ:      r.DiskEnergyJ,
-				IdleCycles: r.IdleCycles,
-				Spinups:    r.DiskStats.Spinups,
-				Spindowns:  r.DiskStats.Spindowns,
-				Cycles:     r.TotalCycles,
-			})
-			sampled = append(sampled, r)
+	sampled := make([]*softwatt.SampledResult, len(specs))
+	for i, sp := range specs {
+		if !quiet {
+			fmt.Fprintf(os.Stderr, "sampling %s...\n", sp.Label)
 		}
+		r, err := softwatt.RunSampled(sp.Benchmark, sp.Options, so)
+		if err != nil {
+			return fmt.Errorf("%s: %w", sp.Label, err)
+		}
+		sampled[i] = r
 	}
-	fmt.Print(softwatt.RenderFig9(rows))
+	fmt.Print(softwatt.RenderFig9(softwatt.Fig9Rows(specs, sampled)))
 	fmt.Println("\nSampled CPU power:")
 	for i, r := range sampled {
 		fmt.Printf("  %-10s %-12s %8.3f W +/- %s W (95%% CI, %d windows)\n",
-			r.Benchmark, rows[i].Policy, r.MeanPowerW, softwatt.FmtCI(r.PowerCI95W), len(r.Windows))
+			r.Benchmark, specs[i].Options.DiskPolicy, r.MeanPowerW, softwatt.FmtCI(r.PowerCI95W), len(r.Windows))
 	}
 	return nil
 }

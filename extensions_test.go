@@ -46,7 +46,7 @@ func TestTraceDrivenKernelEstimation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("six full runs")
 	}
-	runs, err := RunAll(Options{Core: "mipsy"})
+	runs, err := RunBatch(allBench(Options{Core: "mipsy"}), BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

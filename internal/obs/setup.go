@@ -18,13 +18,12 @@ type Setup struct {
 	stopped   bool
 }
 
-// Flags registers -http and -trace on the default flag set. Call before
-// flag.Parse.
-func Flags() *Setup {
+// Flags registers -http and -trace on fs. Call before parsing.
+func Flags(fs *flag.FlagSet) *Setup {
 	return &Setup{
-		httpAddr: flag.String("http", "",
+		httpAddr: fs.String("http", "",
 			"serve live /metrics (Prometheus text) and /debug/pprof on this address, e.g. :8080"),
-		tracePath: flag.String("trace", "",
+		tracePath: fs.String("trace", "",
 			"write a Chrome trace-event JSON file of the run pipeline (open in Perfetto)"),
 	}
 }

@@ -48,7 +48,7 @@ type BatchMetrics struct {
 	CellsFailed *Counter
 	// CellSeconds observes each simulated cell's wall time.
 	CellSeconds *Histogram
-	// LogCacheHits/Misses count run-log cache outcomes (RunBatchCached).
+	// LogCacheHits/Misses count run-log cache outcomes (BatchOptions.LogDir).
 	LogCacheHits   *Counter
 	LogCacheMisses *Counter
 	// LogCacheCorrupt counts cache files that existed but failed to load —
@@ -64,8 +64,8 @@ type BatchMetrics struct {
 	FFCacheMisses  *Counter
 	FFCacheCorrupt *Counter
 	// SampledCacheHits/Misses/Corrupt count saved-SampledResult cache
-	// outcomes (RunSampledCached): a hit re-renders a sampled estimate with
-	// zero simulation, mirroring the run-log cache contract.
+	// outcomes (SampleOptions.LogDir): a hit re-renders a sampled estimate
+	// with zero simulation, mirroring the run-log cache contract.
 	SampledCacheHits    *Counter
 	SampledCacheMisses  *Counter
 	SampledCacheCorrupt *Counter

@@ -2,7 +2,7 @@
 // the CLIs, so every binary exposes the same profiling interface without
 // per-main duplication. Typical use:
 //
-//	p := prof.Flags()
+//	p := prof.Flags(flag.CommandLine)
 //	flag.Parse()
 //	if err := p.Start(); err != nil { ... }
 //	defer p.Stop()
@@ -28,12 +28,11 @@ type Profiler struct {
 	stopped bool
 }
 
-// Flags registers -cpuprofile and -memprofile on the default flag set.
-// Call before flag.Parse.
-func Flags() *Profiler {
+// Flags registers -cpuprofile and -memprofile on fs. Call before parsing.
+func Flags(fs *flag.FlagSet) *Profiler {
 	return &Profiler{
-		cpuPath: flag.String("cpuprofile", "", "write a pprof CPU profile to this file"),
-		memPath: flag.String("memprofile", "", "write a pprof heap profile to this file on exit"),
+		cpuPath: fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
+		memPath: fs.String("memprofile", "", "write a pprof heap profile to this file on exit"),
 	}
 }
 

@@ -1,5 +1,5 @@
-// Tests for the parallel batch APIs over internal/runner: serial-vs-
-// parallel equivalence of the sweep report, matrix ordering, up-front name
+// Tests for the parallel batch API over internal/runner: serial-vs-
+// parallel equivalence of the sweep report, spec ordering, up-front name
 // validation, and the threading of the configured clock into results.
 package softwatt
 
@@ -8,16 +8,24 @@ import (
 	"testing"
 )
 
+// sweep runs the Figure 9 grid of benches on the paper's Mipsy core and
+// projects it onto its rows.
+func sweep(benches []string, b BatchOptions) ([]Fig9Row, error) {
+	specs := DiskSweepSpecs(benches, Options{Core: "mipsy"})
+	results, err := RunBatch(specs, b)
+	return Fig9Rows(specs, results), err
+}
+
 // TestSweepParallelMatchesSerial is the engine's determinism contract: a
 // -j 8 sweep must render a byte-identical Figure 9 report to a serial one,
 // with rows benchmark-major in input order regardless of completion order.
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	benches := []string{"jess", "compress"} // deliberately not alphabetical
-	serial, err := SweepDiskConfigsBatch(benches, nil, BatchOptions{Workers: 1})
+	serial, err := sweep(benches, BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepDiskConfigsBatch(benches, nil, BatchOptions{Workers: 8})
+	par, err := sweep(benches, BatchOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,26 +54,37 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 // TestSweepValidatesNamesUpfront checks an unknown benchmark or policy
 // fails before any cell has simulated, naming the valid set.
 func TestSweepValidatesNamesUpfront(t *testing.T) {
-	_, err := SweepDiskConfigsBatch([]string{"compress", "nosuchbench"}, nil, BatchOptions{})
+	ran := 0
+	b := BatchOptions{Progress: func(int, int, string, error) { ran++ }}
+	_, err := RunBatch(DiskSweepSpecs([]string{"compress", "nosuchbench"}, Options{Core: "mipsy"}), b)
 	if err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 	if !strings.Contains(err.Error(), "nosuchbench") || !strings.Contains(err.Error(), "valid:") {
 		t.Fatalf("error %q should name the bad benchmark and the valid set", err)
 	}
-	_, err = SweepDiskConfigsBatch(nil, []string{"conventional", "nosuchpolicy"}, BatchOptions{})
+	_, err = RunBatch([]RunSpec{
+		{Benchmark: "compress", Options: Options{DiskPolicy: "conventional"}},
+		{Benchmark: "compress", Options: Options{DiskPolicy: "nosuchpolicy"}},
+	}, b)
 	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 	if !strings.Contains(err.Error(), "nosuchpolicy") || !strings.Contains(err.Error(), "valid:") {
 		t.Fatalf("error %q should name the bad policy and the valid set", err)
 	}
+	if ran != 0 {
+		t.Fatalf("%d cells ran before validation failed", ran)
+	}
 }
 
-// TestRunMatrix checks grid construction, ordering, and core validation.
-func TestRunMatrix(t *testing.T) {
-	runs, err := RunMatrixBatch([]string{"jess", "compress"}, []string{"mipsy"},
-		Options{}, BatchOptions{Workers: 4})
+// TestRunBatchSpecOrder checks results come back in spec order with each
+// spec's core, and an unknown core or benchmark is rejected.
+func TestRunBatchSpecOrder(t *testing.T) {
+	runs, err := RunBatch([]RunSpec{
+		{Benchmark: "jess", Options: Options{Core: "mipsy"}},
+		{Benchmark: "compress", Options: Options{Core: "mipsy"}},
+	}, BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,17 +92,17 @@ func TestRunMatrix(t *testing.T) {
 		t.Fatalf("got %d runs, want 2", len(runs))
 	}
 	if runs[0].Benchmark != "jess" || runs[1].Benchmark != "compress" {
-		t.Fatalf("matrix order wrong: %s, %s", runs[0].Benchmark, runs[1].Benchmark)
+		t.Fatalf("batch order wrong: %s, %s", runs[0].Benchmark, runs[1].Benchmark)
 	}
 	for _, r := range runs {
 		if r.Core != "mipsy" {
 			t.Fatalf("core = %s, want mipsy", r.Core)
 		}
 	}
-	if _, err := RunMatrixBatch([]string{"jess"}, []string{"nosuchcore"}, Options{}, BatchOptions{}); err == nil {
+	if _, err := RunBatch([]RunSpec{{Benchmark: "jess", Options: Options{Core: "nosuchcore"}}}, BatchOptions{}); err == nil {
 		t.Fatal("unknown core accepted")
 	}
-	if _, err := RunMatrixBatch([]string{"nosuchbench"}, nil, Options{}, BatchOptions{}); err == nil {
+	if _, err := RunBatch([]RunSpec{{Benchmark: "nosuchbench"}}, BatchOptions{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -93,7 +112,8 @@ func TestRunMatrix(t *testing.T) {
 func TestBatchProgress(t *testing.T) {
 	var labels []string
 	last := 0
-	_, err := SweepDiskConfigsBatch([]string{"compress"}, []string{"conventional", "idle"},
+	specs := DiskSweepSpecs([]string{"compress"}, Options{Core: "mipsy"})[:2]
+	_, err := RunBatch(specs,
 		BatchOptions{Workers: 2, Progress: func(done, total int, label string, err error) {
 			if done != last+1 || total != 2 {
 				t.Errorf("progress (%d,%d) after %d", done, total, last)

@@ -34,7 +34,7 @@ func LoadResult(r io.Reader) (*RunResult, error) {
 }
 
 // SaveResultFile writes a run log file, creating or replacing path
-// atomically: concurrent RunBatchCached workers see the old complete file,
+// atomically: concurrent RunBatch workers see the old complete file,
 // no file, or the new complete file.
 func SaveResultFile(path string, r *RunResult) error {
 	return store.Save(path, r.ToRecord().Sections()...)
@@ -75,8 +75,13 @@ func (s RunSpec) label() string {
 
 // SpecDigest returns the configuration digest a run of spec would carry:
 // the log-cache key. Two specs share a digest exactly when they resolve to
-// the same benchmark and machine configuration.
+// the same benchmark and machine configuration. An unknown benchmark or an
+// invalid option set is an error, so no cache file is ever named after an
+// unvalidated benchmark.
 func SpecDigest(spec RunSpec) (string, error) {
+	if err := validateBenchmark(spec.Benchmark); err != nil {
+		return "", err
+	}
 	cfg, err := spec.Options.MachineConfig()
 	if err != nil {
 		return "", err
@@ -89,29 +94,8 @@ func SpecDigest(spec RunSpec) (string, error) {
 // SpecDigest(spec).
 func ResultDigest(r *RunResult) string { return r.Digest() }
 
-// RunBatch simulates an arbitrary list of (benchmark, options) cells on
-// the parallel job engine. Results are in spec order; all names are
-// validated up front. On error the returned slice still holds every
-// successful cell (failed cells are nil) and the error is a *BatchError
-// listing each failure.
-func RunBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
-	benches := make([]string, len(specs))
-	cells := make([]batchCell, len(specs))
-	for i, sp := range specs {
-		benches[i] = sp.Benchmark
-		if _, err := sp.Options.MachineConfig(); err != nil {
-			return nil, err
-		}
-		cells[i] = batchCell{label: sp.label(), bench: sp.Benchmark, opt: sp.Options}
-	}
-	if err := validateBenchmarks(benches); err != nil {
-		return nil, err
-	}
-	return runBatch(cells, b)
-}
-
-// CacheFileName is the log file name RunBatchCached uses for a spec within
-// the cache directory.
+// CacheFileName is the log file name a spec's run uses within
+// BatchOptions.LogDir.
 func CacheFileName(spec RunSpec) (string, error) {
 	digest, err := SpecDigest(spec)
 	if err != nil {
@@ -120,18 +104,25 @@ func CacheFileName(spec RunSpec) (string, error) {
 	return store.RunLog.Path("", spec.Benchmark, digest), nil
 }
 
-// RunBatchCached is RunBatch backed by a directory of saved run logs. A
-// cell whose log is present (matched by configuration digest) loads
-// instead of simulating; the remaining cells simulate on the parallel
-// engine, each cell's log written as it completes. A log that exists but
-// fails to load or records another configuration is corrupt under the
-// store's policy: counted, warned about, removed and re-simulated.
-// OnResult fires only for simulated cells, so a fully warm cache performs
-// zero simulations; Progress reports over all cells, with cache hits
-// counted as already done.
-func RunBatchCached(specs []RunSpec, dir string, b BatchOptions) ([]*RunResult, error) {
-	if dir == "" {
-		return RunBatch(specs, b)
+// RunBatch simulates a list of (benchmark, options) cells on the parallel
+// job engine; it is the one batch entry behind every table, figure and
+// sweep. Every spec's benchmark and options are validated before any cell
+// simulates or any cache file is looked up, so a typo in the last cell
+// fails in milliseconds. Results are in spec order. On error the returned
+// slice still holds every successful cell (failed cells are nil) and the
+// error is a *BatchError listing each failure, indexed in spec order.
+// With b.LogDir set, cells go through the run-log cache (BatchOptions).
+func RunBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
+	digests := make([]string, len(specs))
+	for i, sp := range specs {
+		d, err := SpecDigest(sp)
+		if err != nil {
+			return nil, err
+		}
+		digests[i] = d
+	}
+	if b.LogDir == "" {
+		return runBatch(specs, b)
 	}
 	results := make([]*RunResult, len(specs))
 	var missIdx []int
@@ -139,12 +130,8 @@ func RunBatchCached(specs []RunSpec, dir string, b BatchOptions) ([]*RunResult, 
 	var missPaths []string
 	var hitLabels []string
 	for i, sp := range specs {
-		digest, err := SpecDigest(sp)
-		if err != nil {
-			return nil, err
-		}
-		path := store.RunLog.Path(dir, sp.Benchmark, digest)
-		if r, err := store.Lookup(store.RunLog, path, runLogDecoder(digest)); err == nil {
+		path := store.RunLog.Path(b.LogDir, sp.Benchmark, digests[i])
+		if r, err := store.Lookup(store.RunLog, path, runLogDecoder(digests[i])); err == nil {
 			results[i] = r
 			hitLabels = append(hitLabels, sp.label())
 			continue
@@ -181,7 +168,7 @@ func RunBatchCached(specs []RunSpec, dir string, b BatchOptions) ([]*RunResult, 
 		}
 		return nil
 	}
-	miss, err := RunBatch(missSpecs, b)
+	miss, err := runBatch(missSpecs, b)
 	for k, i := range missIdx {
 		results[i] = miss[k]
 	}
@@ -194,4 +181,13 @@ func RunBatchCached(specs []RunSpec, dir string, b BatchOptions) ([]*RunResult, 
 		}
 	}
 	return results, err
+}
+
+// RunBatchCached is RunBatch with b.LogDir set to dir.
+//
+// Deprecated: set BatchOptions.LogDir and call RunBatch. This forwarder
+// remains only for the traced replay in perfbench/replay (suite.go).
+func RunBatchCached(specs []RunSpec, dir string, b BatchOptions) ([]*RunResult, error) {
+	b.LogDir = dir
+	return RunBatch(specs, b)
 }

@@ -2,7 +2,7 @@ package softwatt
 
 // Crash-safety tests for the run-log cache. SaveResultFile must never
 // expose a partially-written log under its final cache path (it writes a
-// temp file and renames), and RunBatchCached must treat any truncated or
+// temp file and renames), and RunBatch's run-log cache must treat any truncated or
 // corrupt log — what a pre-rename crash used to leave behind — as a cache
 // miss that heals without disturbing the other cells.
 
@@ -74,8 +74,9 @@ func TestTruncatedLogSelfHeals(t *testing.T) {
 	b := BatchOptions{
 		Workers:  2,
 		OnResult: func(int, string, *RunResult) error { simulated.Add(1); return nil },
+		LogDir:   dir,
 	}
-	cold, err := RunBatchCached(specs, dir, b)
+	cold, err := RunBatch(specs, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestTruncatedLogSelfHeals(t *testing.T) {
 			t.Fatal(err)
 		}
 		simulated.Store(0)
-		healed, err := RunBatchCached(specs, dir, b)
+		healed, err := RunBatch(specs, b)
 		if err != nil {
 			t.Fatalf("truncation at %d bytes poisoned the batch: %v", cut, err)
 		}

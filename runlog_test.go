@@ -4,10 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"softwatt/internal/core"
 	"softwatt/internal/obs"
+	"softwatt/internal/store"
 )
 
 // TestLogsVsLiveEquivalence is the acceptance check for the run-log
@@ -53,10 +56,10 @@ func TestLogsVsLiveEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunBatchCached checks the cache contract: a cold call simulates and
-// saves every cell, a warm call performs zero simulations yet returns
-// render-identical results, and a corrupt log file heals by re-simulating
-// only its own cell.
+// TestRunBatchCached checks the run-log cache contract of RunBatch with
+// LogDir set: a cold call simulates and saves every cell, a warm call
+// performs zero simulations yet returns render-identical results, and a
+// corrupt log file heals by re-simulating only its own cell.
 func TestRunBatchCached(t *testing.T) {
 	dir := t.TempDir()
 	specs := []RunSpec{
@@ -68,9 +71,10 @@ func TestRunBatchCached(t *testing.T) {
 	b := BatchOptions{
 		Workers:  2,
 		OnResult: func(int, string, *RunResult) error { simulated.Add(1); return nil },
+		LogDir:   dir,
 	}
 
-	cold, err := RunBatchCached(specs, dir, b)
+	cold, err := RunBatch(specs, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +86,11 @@ func TestRunBatchCached(t *testing.T) {
 		t.Fatalf("cold run left %d log files, want 2: %v", len(files), files)
 	}
 
+	// The deprecated forwarder is the same cache: it must hit every cell.
 	simulated.Store(0)
+	b.LogDir = ""
 	warm, err := RunBatchCached(specs, dir, b)
+	b.LogDir = dir
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +113,7 @@ func TestRunBatchCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	simulated.Store(0)
-	healed, err := RunBatchCached(specs, dir, b)
+	healed, err := RunBatch(specs, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,7 @@ func TestCachedProgressCoversAllCells(t *testing.T) {
 	}
 
 	// Warm exactly one cell.
-	if _, err := RunBatchCached(specs[:1], dir, BatchOptions{}); err != nil {
+	if _, err := RunBatch(specs[:1], BatchOptions{LogDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,8 +152,9 @@ func TestCachedProgressCoversAllCells(t *testing.T) {
 		Progress: func(done, total int, label string, err error) {
 			calls = append(calls, call{done, total, label})
 		},
+		LogDir: dir,
 	}
-	if _, err := RunBatchCached(specs, dir, b); err != nil {
+	if _, err := RunBatch(specs, b); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 2 {
@@ -174,7 +182,7 @@ func TestCachedCorruptLogCounted(t *testing.T) {
 	spec := RunSpec{Benchmark: "compress", Options: Options{Core: "mipsy"}}
 
 	before := obs.Batch().LogCacheCorrupt.Value()
-	if _, err := RunBatchCached([]RunSpec{spec}, dir, BatchOptions{}); err != nil {
+	if _, err := RunBatch([]RunSpec{spec}, BatchOptions{LogDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Batch().LogCacheCorrupt.Value(); got != before {
@@ -189,8 +197,8 @@ func TestCachedCorruptLogCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var simulated atomic.Int64
-	b := BatchOptions{OnResult: func(int, string, *RunResult) error { simulated.Add(1); return nil }}
-	if _, err := RunBatchCached([]RunSpec{spec}, dir, b); err != nil {
+	b := BatchOptions{OnResult: func(int, string, *RunResult) error { simulated.Add(1); return nil }, LogDir: dir}
+	if _, err := RunBatch([]RunSpec{spec}, b); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Batch().LogCacheCorrupt.Value(); got != before+1 {
@@ -223,9 +231,9 @@ func TestCacheRejectsWrongDigest(t *testing.T) {
 	}
 
 	var simulated atomic.Int64
-	b := BatchOptions{OnResult: func(int, string, *RunResult) error { simulated.Add(1); return nil }}
+	b := BatchOptions{OnResult: func(int, string, *RunResult) error { simulated.Add(1); return nil }, LogDir: dir}
 	before := obs.Batch().LogCacheCorrupt.Value()
-	got, err := RunBatchCached([]RunSpec{spec}, dir, b)
+	got, err := RunBatch([]RunSpec{spec}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,4 +255,63 @@ func mustDigest(t *testing.T, spec RunSpec) string {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestLogDirUnknownBenchmark: with a run-log cache, an unknown benchmark
+// must fail validation before any lookup and return the "unknown
+// benchmark" error. The cached path used to look the cell up, then index
+// the nil result slice of the failed inner batch and panic.
+func TestLogDirUnknownBenchmark(t *testing.T) {
+	res, err := RunBatch([]RunSpec{{Benchmark: "nosuch", Options: Options{Core: "mipsy"}}},
+		BatchOptions{LogDir: t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+		t.Fatalf("got error %v, want an unknown benchmark error", err)
+	}
+	if res != nil {
+		t.Fatalf("got %d results for a rejected batch", len(res))
+	}
+}
+
+// TestCacheLookupStaysInDir: a benchmark name that climbs out of the cache
+// directory must never reach the store. A file planted beside the cache
+// directory, under the name the run-log or sampled-result lookup would
+// resolve "../victim" to, used to be judged corrupt and deleted; it must
+// survive, and both calls must fail as an unknown benchmark.
+func TestCacheLookupStaysInDir(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "cache")
+	const bench = "../victim"
+	opt := Options{Core: "mipsy"}
+	so := SampleOptions{Windows: 2}
+	cfg, err := opt.MachineConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := []string{
+		store.RunLog.Path(dir, bench, core.ConfigDigest(bench, cfg.Core.String(), core.ConfigEntries(cfg))),
+		store.Sampled.Path(dir, bench, sampledDigest(bench, cfg, so)),
+	}
+	for _, p := range planted {
+		if filepath.Dir(p) != parent {
+			t.Fatalf("planted %s is not beside the cache directory", p)
+		}
+		if err := os.WriteFile(p, []byte("not a cache file"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, err = RunBatch([]RunSpec{{Benchmark: bench, Options: opt}}, BatchOptions{LogDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+		t.Errorf("run-log lookup: got error %v, want an unknown benchmark error", err)
+	}
+	so.LogDir = dir
+	_, err = RunSampled(bench, opt, so)
+	if err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+		t.Errorf("sampled lookup: got error %v, want an unknown benchmark error", err)
+	}
+	for _, p := range planted {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("file outside the cache directory was touched: %v", err)
+		}
+	}
 }

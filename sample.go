@@ -94,6 +94,13 @@ type SampleOptions struct {
 	// the FF configuration digest, and a later run over the same key
 	// restores it instead of re-simulating the fast-forward.
 	FFCacheDir string
+	// LogDir, when non-empty, is a directory of saved sampled results
+	// (DESIGN.md §14): a run whose result is present (matched by sampled
+	// digest) loads instead of simulating anything at all — no
+	// fast-forward, no windows — and a miss samples and saves. A file that
+	// fails to load or records another digest is corrupt under the
+	// store's policy, and is re-sampled over.
+	LogDir string
 }
 
 // resolve fills the option defaults and returns the effective reservoir
@@ -287,22 +294,51 @@ func loadOrFastForward(benchmark string, w machine.Workload, ffCfg machine.Confi
 // RunSampled estimates one benchmark's power by sampled simulation. The
 // options select the detailed core ("mipsy", "mxs", "mxs1") and machine
 // configuration; the fast-forward passes use the swift core over the same
-// configuration.
+// configuration. The benchmark, core and options are validated before
+// anything is simulated or any cache file is looked up. With so.LogDir set
+// the result goes through the sampled-result cache (SampleOptions).
 func RunSampled(benchmark string, opt Options, so SampleOptions) (*SampledResult, error) {
+	digest, err := SampledDigest(benchmark, opt, so)
+	if err != nil {
+		return nil, err
+	}
+	path := ""
+	if so.LogDir != "" {
+		path = store.Sampled.Path(so.LogDir, benchmark, digest)
+		if r, err := store.Lookup(store.Sampled, path, sampledDecoder(digest)); err == nil {
+			return r, nil
+		}
+	}
 	w, err := workload.Build(benchmark)
 	if err != nil {
 		return nil, err
 	}
-	return runSampledWorkload(benchmark, w, opt, so)
+	r, err := runSampledWorkload(benchmark, w, opt, so)
+	if err != nil {
+		return nil, err
+	}
+	if path != "" {
+		if err := SaveSampledResultFile(path, r); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// sampledConfig resolves the detailed machine configuration of a sampled
+// run, rejecting swift, which has no timing for the windows to measure.
+func sampledConfig(opt Options) (machine.Config, error) {
+	if opt.Core == "swift" {
+		return machine.Config{}, fmt.Errorf("softwatt: sampled simulation needs a detailed core for its windows (got %q)", opt.Core)
+	}
+	return opt.MachineConfig()
 }
 
 // runSampledWorkload is RunSampled over an explicit (possibly scaled)
-// workload; the internal entry point the benchmarks drive.
+// workload, with no result cache; the internal entry point the benchmarks
+// drive.
 func runSampledWorkload(benchmark string, w machine.Workload, opt Options, so SampleOptions) (*SampledResult, error) {
-	if opt.Core == "swift" {
-		return nil, fmt.Errorf("softwatt: sampled simulation needs a detailed core for its windows (got %q)", opt.Core)
-	}
-	cfg, err := opt.MachineConfig()
+	cfg, err := sampledConfig(opt)
 	if err != nil {
 		return nil, err
 	}

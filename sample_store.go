@@ -49,17 +49,21 @@ func sampledDigest(benchmark string, cfg machine.Config, so SampleOptions) strin
 }
 
 // SampledDigest returns the cache key a sampled run of the benchmark under
-// these options would carry.
+// these options would carry. An unknown benchmark, a core without timing
+// or an invalid option set is an error.
 func SampledDigest(benchmark string, opt Options, so SampleOptions) (string, error) {
-	cfg, err := opt.MachineConfig()
+	if err := validateBenchmark(benchmark); err != nil {
+		return "", err
+	}
+	cfg, err := sampledConfig(opt)
 	if err != nil {
 		return "", err
 	}
 	return sampledDigest(benchmark, cfg, so), nil
 }
 
-// SampledCacheFileName is the file name RunSampledCached uses for a
-// sampled run within the cache directory.
+// SampledCacheFileName is the file name a sampled run uses within
+// SampleOptions.LogDir.
 func SampledCacheFileName(benchmark string, opt Options, so SampleOptions) (string, error) {
 	digest, err := SampledDigest(benchmark, opt, so)
 	if err != nil {
@@ -196,31 +200,4 @@ func sampledDecoder(digest string) func([]byte) (*SampledResult, error) {
 		}
 		return r, nil
 	}
-}
-
-// RunSampledCached is RunSampled backed by a directory of saved sampled
-// results: a run whose result is present (matched by digest) loads instead
-// of simulating anything at all — no fast-forward, no windows — and a miss
-// samples and saves. A file that fails to load or records another digest
-// is corrupt under the store's policy, and is re-sampled over.
-func RunSampledCached(benchmark string, opt Options, so SampleOptions, dir string) (*SampledResult, error) {
-	if dir == "" {
-		return RunSampled(benchmark, opt, so)
-	}
-	digest, err := SampledDigest(benchmark, opt, so)
-	if err != nil {
-		return nil, err
-	}
-	path := store.Sampled.Path(dir, benchmark, digest)
-	r, err := store.Lookup(store.Sampled, path, sampledDecoder(digest))
-	if err == nil {
-		return r, nil
-	}
-	if r, err = RunSampled(benchmark, opt, so); err != nil {
-		return nil, err
-	}
-	if err := SaveSampledResultFile(path, r); err != nil {
-		return nil, err
-	}
-	return r, nil
 }

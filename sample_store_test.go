@@ -173,18 +173,18 @@ func TestSampledResultFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunSampledCached: the sampled-result cache's hit, miss, and
-// corrupt-heal paths, each returning a result structurally identical to
-// the cold one.
+// TestRunSampledCached: the sampled-result cache's (SampleOptions.LogDir)
+// hit, miss, and corrupt-heal paths, each returning a result structurally
+// identical to the cold one.
 func TestRunSampledCached(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Core: "mipsy"}
-	so := SampleOptions{Windows: 3, FFCacheDir: dir}
+	so := SampleOptions{Windows: 3, FFCacheDir: dir, LogDir: dir}
 	hits0 := obs.Batch().SampledCacheHits.Value()
 	misses0 := obs.Batch().SampledCacheMisses.Value()
 	corrupt0 := obs.Batch().SampledCacheCorrupt.Value()
 
-	cold, err := RunSampledCached("compress", opt, so, dir)
+	cold, err := RunSampled("compress", opt, so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRunSampledCached(t *testing.T) {
 		t.Errorf("cold run counted %d sampled-cache misses, want 1", got)
 	}
 
-	warm, err := RunSampledCached("compress", opt, so, dir)
+	warm, err := RunSampled("compress", opt, so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestRunSampledCached(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, name), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	healed, err := RunSampledCached("compress", opt, so, dir)
+	healed, err := RunSampled("compress", opt, so)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,7 +287,8 @@ func run(benchmark string, opt Options, tid int64) (*RunResult, error) {
 }
 
 // BatchOptions configure how a batch of independent simulations executes.
-// The zero value runs one simulation per CPU with no progress reporting.
+// The zero value runs one simulation per CPU with no progress reporting
+// and no run-log cache.
 type BatchOptions struct {
 	// Workers bounds how many simulations run concurrently; zero or
 	// negative uses GOMAXPROCS. Worker count never changes results: a
@@ -298,20 +299,24 @@ type BatchOptions struct {
 	// with the number of finished cells so far, the total, the finished
 	// cell's label (e.g. "jess/standby2"), and its error (nil on success)
 	// — so a CLI can print failing cells as they fail instead of at the
-	// end of the sweep.
+	// end of the sweep. Cache hits count as finished before any cell
+	// simulates.
 	Progress func(done, total int, label string, err error)
 	// OnResult, when non-nil, is called from the worker goroutine as soon
 	// as a cell's simulation succeeds, before the batch returns — this is
 	// how the CLIs write one run log per cell as the parallel engine
 	// completes it. index is the cell's input-order position. Calls for
 	// different cells may be concurrent. A returned error marks the cell
-	// failed.
+	// failed. Cells loaded from LogDir do not simulate, so OnResult does
+	// not fire for them.
 	OnResult func(index int, label string, r *RunResult) error
-}
-
-// runnerOptions adapts BatchOptions to the job engine.
-func (b BatchOptions) runnerOptions() runner.Options {
-	return runner.Options{Workers: b.Workers, Progress: b.Progress}
+	// LogDir, when non-empty, is a directory of saved run logs acting as a
+	// simulation cache. A cell whose log is present (matched by
+	// configuration digest) loads instead of simulating; every simulated
+	// cell's log is written there as it completes. A log that exists but
+	// fails to load or records another configuration is corrupt under the
+	// store's policy: counted, warned about, removed and re-simulated.
+	LogDir string
 }
 
 // BatchError aggregates the per-cell failures of a batch run, in input
@@ -324,60 +329,28 @@ type BatchError = runner.Errors
 // panic surfaces here as an error carrying the panic value and stack.
 type CellError = runner.JobError
 
-// validateBenchmarks fails fast on an unknown benchmark name, before any
-// simulation has run, naming the valid set.
-func validateBenchmarks(benchmarks []string) error {
-	known := workload.Benchmarks()
-	for _, b := range benchmarks {
-		if _, ok := known[b]; !ok {
-			return fmt.Errorf("softwatt: unknown benchmark %q (valid: %s)",
-				b, strings.Join(Benchmarks, ", "))
-		}
+// validateBenchmark fails fast on an unknown benchmark name, before any
+// simulation has run or any cache file is named after it.
+func validateBenchmark(benchmark string) error {
+	if _, ok := workload.Benchmarks()[benchmark]; !ok {
+		return fmt.Errorf("softwatt: unknown benchmark %q (valid: %s)",
+			benchmark, strings.Join(Benchmarks, ", "))
 	}
 	return nil
 }
 
-// validatePolicies fails fast on an unknown disk policy name, before any
-// simulation has run.
-func validatePolicies(policies []string) error {
-	for _, p := range policies {
-		if _, err := (Options{DiskPolicy: p}).MachineConfig(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateCores fails fast on an unknown core name, before any simulation
-// has run.
-func validateCores(cores []string) error {
-	for _, c := range cores {
-		if _, err := (Options{Core: c}).MachineConfig(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// batchCell is one simulation of a batch: a benchmark under per-cell
-// options, labelled for errors and progress.
-type batchCell struct {
-	label string
-	bench string
-	opt   Options
-}
-
-// runBatch fans the cells out over the job engine. Results are in input
-// order; failed cells are nil and aggregated into a *BatchError.
+// runBatch fans already validated specs out over the job engine. Results
+// are in input order; failed cells are nil and aggregated into a
+// *BatchError.
 //
 // When a tracer is installed, each cell becomes a span on its worker's
 // track: the engine's OnStart hook records which worker picked the cell up
 // (the job body runs on that same goroutine, so the read needs no lock),
 // and the run pipeline's phase spans nest underneath. Worker tracks are
 // tid 1..Workers; tid 0 is the direct-call track.
-func runBatch(cells []batchCell, b BatchOptions) ([]*RunResult, error) {
-	workerOf := make([]int64, len(cells))
-	ro := b.runnerOptions()
+func runBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
+	workerOf := make([]int64, len(specs))
+	ro := runner.Options{Workers: b.Workers, Progress: b.Progress}
 	if tr := obs.ActiveTracer(); tr != nil {
 		ro.OnStart = func(worker, index int, label string) {
 			tid := int64(worker) + 1
@@ -385,84 +358,29 @@ func runBatch(cells []batchCell, b BatchOptions) ([]*RunResult, error) {
 			tr.SetThreadName(tid, fmt.Sprintf("worker %d", worker))
 		}
 	}
-	jobs := make([]runner.Job[*RunResult], len(cells))
-	for i, c := range cells {
-		i, c := i, c
+	jobs := make([]runner.Job[*RunResult], len(specs))
+	for i, sp := range specs {
+		label := sp.label()
 		jobs[i] = runner.Job[*RunResult]{
-			Label: c.label,
+			Label: label,
 			Run: func() (*RunResult, error) {
 				tid := workerOf[i]
-				sp := obs.StartSpan(tid, c.label, "cell")
-				r, err := run(c.bench, c.opt, tid)
+				span := obs.StartSpan(tid, label, "cell")
+				r, err := run(sp.Benchmark, sp.Options, tid)
 				if err == nil && b.OnResult != nil {
-					ssp := obs.StartSpan(tid, "save "+c.label, "save")
-					err = b.OnResult(i, c.label, r)
+					ssp := obs.StartSpan(tid, "save "+label, "save")
+					err = b.OnResult(i, label, r)
 					ssp.End()
 				}
 				if err != nil {
-					sp.Arg("error", err.Error())
+					span.Arg("error", err.Error())
 				}
-				sp.End()
+				span.End()
 				return r, err
 			},
 		}
 	}
 	return runner.Map(jobs, ro)
-}
-
-// RunAll simulates every benchmark with the same options, one simulation
-// per CPU. Results are in Benchmarks order.
-func RunAll(opt Options) ([]*RunResult, error) {
-	return RunAllBatch(opt, BatchOptions{})
-}
-
-// RunAllBatch is RunAll with explicit batch control. On error the returned
-// slice still holds every successful cell (failed cells are nil) and the
-// error is a *BatchError listing each failure.
-func RunAllBatch(opt Options, b BatchOptions) ([]*RunResult, error) {
-	return RunMatrixBatch(Benchmarks, nil, opt, b)
-}
-
-// RunMatrix simulates the benchmark × core grid with default batch options.
-// Results are row-major: all cores of benchmarks[0], then benchmarks[1], …
-func RunMatrix(benchmarks, cores []string, opt Options) ([]*RunResult, error) {
-	return RunMatrixBatch(benchmarks, cores, opt, BatchOptions{})
-}
-
-// RunMatrixBatch simulates every benchmark × core cell of the grid on the
-// parallel job engine. Nil benchmarks means all six; nil cores means the
-// single core named by opt.Core. All names are validated up front so a typo
-// fails before any simulation runs. On error the returned slice still holds
-// every successful cell (failed cells are nil) and the error is a
-// *BatchError listing each failure.
-func RunMatrixBatch(benchmarks, cores []string, opt Options, b BatchOptions) ([]*RunResult, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = Benchmarks
-	}
-	if err := validateBenchmarks(benchmarks); err != nil {
-		return nil, err
-	}
-	if len(cores) > 0 {
-		if err := validateCores(cores); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := opt.MachineConfig(); err != nil {
-		return nil, err
-	}
-	var cells []batchCell
-	for _, bench := range benchmarks {
-		if len(cores) == 0 {
-			cells = append(cells, batchCell{bench, bench, opt})
-			continue
-		}
-		for _, c := range cores {
-			o := opt
-			o.Core = c
-			cells = append(cells, batchCell{bench + "/" + c, bench, o})
-		}
-	}
-	return runBatch(cells, b)
 }
 
 // NewEstimator returns an estimator over the paper's Table 1 power model.
@@ -483,58 +401,48 @@ type Fig9Row = core.Fig9Row
 // DiskPolicies lists the paper's four §4 disk configurations in order.
 var DiskPolicies = []string{"conventional", "idle", "standby2", "standby4"}
 
-// SweepDiskConfigs runs every benchmark under each of the four disk
-// power-management configurations of §4 and returns the Figure 9 data
-// (disk energy and total idle cycles per cell). The sweep uses the Mipsy
-// core, the fast first-pass model the paper uses for memory and disk
-// behaviour, and fans the grid out one simulation per CPU.
-func SweepDiskConfigs(benchmarks []string) ([]Fig9Row, error) {
-	return SweepDiskConfigsBatch(benchmarks, nil, BatchOptions{})
-}
-
-// SweepDiskConfigsBatch is SweepDiskConfigs with an explicit policy list
-// and batch control. Nil benchmarks means all six; nil policies means the
-// paper's four. Benchmark and policy names are validated up front so a typo
-// in the last cell fails before the first cell has simulated. Rows come
-// back benchmark-major in input order regardless of worker count, so a
-// parallel sweep renders a byte-identical Figure 9 report to a serial one.
-// On error the row slice holds every successful cell (failed cells are
-// zero-valued) and the error is a *BatchError listing each failure.
-func SweepDiskConfigsBatch(benchmarks, policies []string, b BatchOptions) ([]Fig9Row, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = Benchmarks
-	}
-	if len(policies) == 0 {
-		policies = DiskPolicies
-	}
-	if err := validateBenchmarks(benchmarks); err != nil {
-		return nil, err
-	}
-	if err := validatePolicies(policies); err != nil {
-		return nil, err
-	}
-	var cells []batchCell
+// DiskSweepSpecs builds the paper's Figure 9 grid: every benchmark under
+// each of the four §4 disk configurations, benchmark-major in input order,
+// each cell labelled "bench/policy" and otherwise run under opt. The paper
+// drives the sweep with the Mipsy core, the fast first-pass model it uses
+// for memory and disk behaviour.
+func DiskSweepSpecs(benchmarks []string, opt Options) []RunSpec {
+	specs := make([]RunSpec, 0, len(benchmarks)*len(DiskPolicies))
 	for _, bench := range benchmarks {
-		for _, pol := range policies {
-			cells = append(cells, batchCell{
-				label: bench + "/" + pol,
-				bench: bench,
-				opt:   Options{Core: "mipsy", DiskPolicy: pol},
-			})
+		for _, pol := range DiskPolicies {
+			o := opt
+			o.DiskPolicy = pol
+			specs = append(specs, RunSpec{Benchmark: bench, Options: o, Label: bench + "/" + pol})
 		}
 	}
-	// Sweeps ride the same batch pipeline as every other grid (cell spans,
-	// batch metrics, OnResult), then project each result onto its Figure 9
-	// row. Failed cells are nil results and stay zero-valued rows.
-	results, err := runBatch(cells, b)
-	rows := make([]Fig9Row, len(cells))
-	for i, r := range results {
+	return specs
+}
+
+// Fig9Rows projects a disk sweep's results onto Figure 9 rows (disk energy,
+// idle cycles, spin transitions and run length per cell), in spec order.
+// Full and sampled runs both carry exact disk figures: a sampled run takes
+// them from its functional fast-forward pass. A nil result (a failed cell)
+// stays a zero-valued row.
+func Fig9Rows[R *RunResult | *SampledResult](specs []RunSpec, results []R) []Fig9Row {
+	rows := make([]Fig9Row, len(results))
+	for i, res := range results {
+		var r *RunResult
+		switch v := any(res).(type) {
+		case *RunResult:
+			r = v
+		case *SampledResult:
+			if v != nil {
+				// The disk columns, in the shape a full run carries them.
+				r = &RunResult{DiskEnergyJ: v.DiskEnergyJ, DiskStats: v.DiskStats,
+					IdleCycles: v.IdleCycles, TotalCycles: v.TotalCycles}
+			}
+		}
 		if r == nil {
 			continue
 		}
 		rows[i] = Fig9Row{
-			Benchmark:  cells[i].bench,
-			Policy:     cells[i].opt.DiskPolicy,
+			Benchmark:  specs[i].Benchmark,
+			Policy:     specs[i].Options.DiskPolicy,
 			DiskJ:      r.DiskEnergyJ,
 			IdleCycles: r.IdleCycles,
 			Spinups:    r.DiskStats.Spinups,
@@ -542,7 +450,7 @@ func SweepDiskConfigsBatch(benchmarks, policies []string, b BatchOptions) ([]Fig
 			Cycles:     r.TotalCycles,
 		}
 	}
-	return rows, err
+	return rows
 }
 
 // RenderFig9 renders sweep rows as the Figure 9 report.

@@ -141,7 +141,7 @@ func TestSweepShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	rows, err := SweepDiskConfigs([]string{"jess", "mtrt"})
+	rows, err := sweep([]string{"jess", "mtrt"}, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
