@@ -56,7 +56,9 @@ func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip b
 
 // TestTickBatchRunEquivalence runs every workload on both detailed cores
 // twice — through the TickBatch run loop and through per-cycle ticking —
-// and requires bit-identical serialized results.
+// and requires bit-identical serialized results, both equal to the
+// pinned digest (resultPins), so a change shared by both loops is caught
+// too.
 func TestTickBatchRunEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-run equivalence matrix skipped in -short mode")
@@ -76,6 +78,8 @@ func TestTickBatchRunEquivalence(t *testing.T) {
 					t.Fatalf("batched run diverges from per-cycle: %d vs %d bytes, first difference at byte %d",
 						len(bb), len(pb), firstDiff(bb, pb))
 				}
+				checkResultPin(t, coreName+"/"+bench, bb)
+				checkResultPin(t, coreName+"/"+bench, pb)
 			})
 		}
 	}

@@ -22,6 +22,8 @@ package softwatt
 //     The boundary-observable stream is the contract.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"softwatt/internal/isa"
@@ -94,8 +96,34 @@ func TestSwiftLockstepWorkloads(t *testing.T) {
 			if steps < 1000 {
 				t.Fatalf("vacuous lockstep: only %d cycles compared", steps)
 			}
+			// Lockstep cannot see a mistake the two cores share (they run
+			// one batch loop and one charging path): pin the end state.
+			sum := sha256.Sum256([]byte(fast.Console()))
+			got := swiftEndState{hex.EncodeToString(sum[:]), fast.ExitCode(), fast.Committed, fast.Cycle()}
+			if want := swiftEndStates[bench]; got != want {
+				t.Errorf("%s: end state %+v, pinned %+v", bench, got, want)
+			}
 		})
 	}
+}
+
+// swiftEndState is swift's functional end state on one workload: the
+// SHA-256 of the console, the exit code, committed instructions and
+// cycles.
+type swiftEndState struct {
+	console   string
+	exit      uint32
+	committed uint64
+	cycles    uint64
+}
+
+var swiftEndStates = map[string]swiftEndState{
+	"compress": {"2c4a106c77b223a59b4258dae959d2c1eb731388840a3ad52895149166a8b178", 0, 1065138, 1065138},
+	"jess":     {"b8560643fd2ca63e29dbabca51da9708db2f9c4e7f73f91d9b5b974e669a85cc", 0, 1597523, 1597523},
+	"db":       {"3dfc8ccfdaf8e4896fbf8553f948da2814cb24cc101ce8ec37063da849d5f059", 0, 1760599, 1760599},
+	"javac":    {"922025708698a524dd2166f92a050f9fe825d135af0a066913f6beeeb23ebeb7", 0, 1555034, 1555034},
+	"mtrt":     {"73ec3aa1af7d5c3b8ab0817dbe5dbbb30c4be3480cf3670ef7bd67d73445ba36", 0, 5555739, 5555739},
+	"jack":     {"9d165f1f1d00d60dc5ba1270de5edb38db6f08e8a6995e3a1508833b294ec726", 0, 4203832, 4203832},
 }
 
 // TestSwiftMatchesMipsyEndToEnd checks the boundary-observable contract
