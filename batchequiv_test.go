@@ -1,7 +1,7 @@
 package softwatt
 
-// Batch-tick equivalence and clock-skip safety (DESIGN.md §16). The
-// detailed cores run their stage loop inside TickBatch, bounded by the
+// Batch equivalence and clock-skip safety (DESIGN.md §16). The
+// detailed cores run their stage loop inside RunBatch, bounded by the
 // machine's next device/timer/telemetry event, and skip the clock over
 // provably idle stretches. Two end-to-end properties protect that
 // machinery:
@@ -32,8 +32,8 @@ import (
 )
 
 // runConfigured boots cfg with the named workload and returns the collected
-// result plus the recorded power timeline.
-func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip bool) (*RunResult, []trace.TimelinePoint) {
+// result, the recorded power timeline and the machine's committed count.
+func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip bool) (*RunResult, []trace.TimelinePoint, uint64) {
 	t.Helper()
 	w, err := workload.Build(bench)
 	if err != nil {
@@ -49,13 +49,13 @@ func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip b
 		t.Fatalf("run %s (DisableSkip=%v): %v (console: %q)", bench, disableSkip, err, m.Console())
 	}
 	r := core.Collect(m, bench, cfg.Core.String())
-	tl := m.Timeline()
+	tl, committed := m.Timeline(), m.Committed
 	m.Release()
-	return r, tl
+	return r, tl, committed
 }
 
 // TestTickBatchRunEquivalence runs every workload on both detailed cores
-// twice — through the TickBatch run loop and through per-cycle ticking —
+// twice — through the batch run loop and through per-cycle ticking —
 // and requires bit-identical serialized results, both equal to the
 // pinned digest (resultPins), so a change shared by both loops is caught
 // too.
@@ -71,8 +71,11 @@ func TestTickBatchRunEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batched, _ := runConfigured(t, cfg, bench, false)
-				percycle, _ := runConfigured(t, cfg, bench, true)
+				batched, _, bc := runConfigured(t, cfg, bench, false)
+				percycle, _, pc := runConfigured(t, cfg, bench, true)
+				if bc != pc {
+					t.Errorf("machine committed count: batched=%d per-cycle=%d", bc, pc)
+				}
 				bb, pb := resultBytes(t, batched), resultBytes(t, percycle)
 				if !bytes.Equal(bb, pb) {
 					t.Fatalf("batched run diverges from per-cycle: %d vs %d bytes, first difference at byte %d",
@@ -136,12 +139,12 @@ func TestClockSkipSafety(t *testing.T) {
 				cfg.WindowCycles = uint64(5_000 + rng.Intn(35_000))
 				cfg.TimelineCycles = uint64(50_000 + rng.Intn(200_000))
 
-				batched, tl := runConfigured(t, cfg, "compress", false)
+				batched, tl, _ := runConfigured(t, cfg, "compress", false)
 				checkTimeline(t, tl, cfg.WindowCycles)
 				if coreName == "swift" {
 					return // no per-cycle oracle for the batch core
 				}
-				percycle, _ := runConfigured(t, cfg, "compress", true)
+				percycle, _, _ := runConfigured(t, cfg, "compress", true)
 				bb, pb := resultBytes(t, batched), resultBytes(t, percycle)
 				if !bytes.Equal(bb, pb) {
 					t.Fatalf("randomized-latency run diverges from per-cycle: %d vs %d bytes, first difference at byte %d",

@@ -205,7 +205,7 @@ func TestGoldenWorkloadDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, _ := runConfigured(t, cfg, bench, false)
+			r, _, _ := runConfigured(t, cfg, bench, false)
 			checkResultPin(t, "mxs1/"+bench, resultBytes(t, r))
 		})
 	}

@@ -24,6 +24,15 @@ type Bus interface {
 	WritePhys(paddr uint32, size int, v uint64)
 }
 
+// CycleSync is the machine's exact-time hook for timing cores that run
+// many cycles per call: the core publishes the current cycle before any
+// step that can reach MMIO, so device handlers that read or latch the
+// machine cycle (timer arming, disk submission) see what a per-cycle loop
+// would have shown them.
+type CycleSync interface {
+	SyncCycle(cycle uint64)
+}
+
 // NumTLB is the number of TLB entries (fully associative, unified), per the
 // paper's Table 1.
 const NumTLB = 64

@@ -197,10 +197,8 @@ func lsSetup(t testing.TB, code []byte, seed int64) *lsSide {
 	cpu.COP0[isa.C0Status] = isa.StatusIE | isa.StatusIM0<<isa.IntTimer
 	cpu.PC = isa.KSEG0Base + lsStart
 	col := trace.NewCollector(5000)
-	c := New(cpu, mem.NewHierarchy(mem.DefaultHierConfig()), col)
-	c.BindCycleSync(bus)
-	s := &lsSide{c: c, cpu: cpu, col: col, bus: bus}
-	return s
+	c := New(cpu, mem.NewHierarchy(mem.DefaultHierConfig()), col, bus)
+	return &lsSide{c: c, cpu: cpu, col: col, bus: bus}
 }
 
 func (s *lsSide) commit(info *arch.StepInfo) {
@@ -250,8 +248,8 @@ func (s *lsSide) runTick(evs []lsEvent, limit uint64) (cyc uint64, busyAtHalt in
 
 // runBatch drives the batch call with budgets drawn from 1..maxBudget and
 // clamped to the next event and the limit. It returns the final cycle and
-// the cycles the batch reported as elided.
-func (s *lsSide) runBatch(evs []lsEvent, limit uint64, rng *rand.Rand, maxBudget int) (cyc, skipped uint64) {
+// the instructions retired and cycles elided the batches reported.
+func (s *lsSide) runBatch(evs []lsEvent, limit uint64, rng *rand.Rand, maxBudget int) (cyc, retired, skipped uint64) {
 	next := 0
 	for cyc < limit && !s.done() {
 		for ; next < len(evs) && evs[next].at == cyc; next++ {
@@ -267,14 +265,15 @@ func (s *lsSide) runBatch(evs []lsEvent, limit uint64, rng *rand.Rand, maxBudget
 		if s.c.busy > 0 {
 			s.carried++
 		}
-		ran := s.c.TickBatch(cyc, budget, s.commit)
-		skipped += s.c.TakeSkipped()
+		ran, r, sk := s.c.RunBatch(cyc, budget, s.commit)
+		retired += r
+		skipped += sk
 		if ran == 0 {
 			break
 		}
 		cyc += ran
 	}
-	return cyc, skipped
+	return cyc, retired, skipped
 }
 
 // lsEvents draws the external-event schedule of one run.
@@ -322,9 +321,9 @@ func lsImage(tb testing.TB, seed int64, src string) []byte {
 // lsResult is what one lockstep run exposes to the caller's vacuity
 // checks.
 type lsResult struct {
-	tick, batch *lsSide
-	busyAtHalt  int
-	skipped     uint64
+	batch      *lsSide
+	busyAtHalt int
+	skipped    uint64
 }
 
 // lockstep runs one program on both sides and fails on any divergence.
@@ -337,7 +336,7 @@ func lockstep(t *testing.T, seed int64, src string, maxBudget int, timers, halt 
 
 	tick, batch := lsSetup(t, code, seed), lsSetup(t, code, seed)
 	tickCyc, busyAtHalt := tick.runTick(evs, limit)
-	batchCyc, skipped := batch.runBatch(evs, limit, rng, maxBudget)
+	batchCyc, retired, skipped := batch.runBatch(evs, limit, rng, maxBudget)
 
 	if batchCyc != tickCyc {
 		t.Fatalf("final cycle: batch=%d tick=%d", batchCyc, tickCyc)
@@ -376,6 +375,17 @@ func lockstep(t *testing.T, seed int64, src string, maxBudget int, timers, halt 
 	if batch.c.Committed != tick.c.Committed {
 		t.Fatalf("committed: batch=%d tick=%d", batch.c.Committed, tick.c.Committed)
 	}
+	// The machine counts committed instructions from the batches'
+	// retired results and, per cycle, from the commit stream.
+	var streamed uint64
+	for _, c := range tick.commits {
+		if !c.halted {
+			streamed++
+		}
+	}
+	if retired != streamed {
+		t.Fatalf("batches retired %d instructions, the per-cycle commit stream %d", retired, streamed)
+	}
 	// COUNT is excluded: an elided WAIT poll does not rewrite it, and the
 	// next real step does before anything can read it.
 	bs, ts := batch.cpu.Snapshot(), tick.cpu.Snapshot()
@@ -388,7 +398,7 @@ func lockstep(t *testing.T, seed int64, src string, maxBudget int, timers, halt 
 	}
 	t.Logf("seed %d: %d cycles, %d commits, %d device writes, %d WAIT cycles elided, %d batches carried a stall",
 		seed, batchCyc, len(batch.commits), len(batch.bus.writes), skipped, batch.carried)
-	return lsResult{tick, batch, busyAtHalt, skipped}
+	return lsResult{batch, busyAtHalt, skipped}
 }
 
 func TestBatchMatchesTick(t *testing.T) {

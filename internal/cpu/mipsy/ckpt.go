@@ -2,8 +2,8 @@ package mipsy
 
 // Checkpoint support (DESIGN.md §13). The in-order core's whole timing
 // state is the remaining stall count and the committed-instruction total;
-// scratch only lives within a single Tick and is never meaningful at a
-// cycle boundary, and cpu/h/col are wiring bound at construction.
+// scratch only lives within a single step and is never meaningful at a
+// cycle boundary, and cpu/h/col/sync are wiring bound at construction.
 
 import "softwatt/internal/ckpt"
 

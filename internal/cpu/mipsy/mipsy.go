@@ -24,25 +24,14 @@ const (
 	eretDrainCycles = 5
 )
 
-// CycleSync is the machine's hook for publishing exact device time before
-// an interpreter step inside a batch, so MMIO handlers that read or latch
-// the machine cycle observe exactly what a per-cycle loop would have shown
-// them (the same contract as swift.CycleSync).
-type CycleSync interface {
-	SyncCycle(cycle uint64)
-}
-
 // Core is the in-order timing model.
 type Core struct {
 	cpu  *arch.CPU
 	h    *mem.Hierarchy
 	col  *trace.Collector
-	sync CycleSync // exact-time hook for batched runs (nil outside a machine)
+	sync arch.CycleSync // exact-time hook for batched runs (nil in direct harnesses)
 
 	busy int // stall cycles remaining before the next instruction
-
-	// skipped counts WAIT-poll cycles elided by TickBatch (telemetry).
-	skipped uint64
 
 	// scratch holds the current instruction's StepInfo. Kept on the Core so
 	// passing its address to the commit callback does not force a heap
@@ -54,26 +43,14 @@ type Core struct {
 }
 
 // New creates a Mipsy core over the given functional CPU, cache hierarchy
-// and collector.
-func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector) *Core {
-	return &Core{cpu: cpu, h: h, col: col}
+// and collector. sync receives the exact cycle before every step of a
+// batch; direct harnesses without MMIO may pass nil.
+func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector, sync arch.CycleSync) *Core {
+	return &Core{cpu: cpu, h: h, col: col, sync: sync}
 }
 
 // CPU returns the underlying functional core.
 func (c *Core) CPU() *arch.CPU { return c.cpu }
-
-// BindCycleSync installs the machine's exact-time hook, required before
-// TickBatch may execute MMIO-capable instructions. The machine binds
-// itself at core construction; direct harnesses without MMIO may leave it
-// nil.
-func (c *Core) BindCycleSync(s CycleSync) { c.sync = s }
-
-// TakeSkipped returns and clears the cycles TickBatch elided (telemetry).
-func (c *Core) TakeSkipped() uint64 {
-	s := c.skipped
-	c.skipped = 0
-	return s
-}
 
 // Counters implements the machine's telemetry hook. Mipsy has no branch
 // predictor or speculative pipeline, so only Committed moves.
@@ -82,7 +59,8 @@ func (c *Core) Counters() obs.CoreCounters {
 }
 
 // Tick advances the pipeline by one cycle, invoking commit when an
-// instruction completes architecturally this cycle.
+// instruction completes architecturally this cycle. It is the per-cycle
+// reference RunBatch is checked against (the machine's DisableSkip loop).
 //
 // All structure-access counts of one instruction accumulate into a local
 // UnitCounts and flush with a single Collector.AddUnits call just before
@@ -97,19 +75,21 @@ func (c *Core) Tick(cycle uint64, commit func(*arch.StepInfo)) {
 	c.busy = c.step(cycle, commit) - 1
 }
 
-// TickBatch runs up to budget cycles from cycle start inside the core,
+// RunBatch runs up to budget cycles from cycle start inside the core,
 // charging each instruction's full cost with one AddCycles call instead of
-// one machine round-trip per cycle. Three invariants keep the result
-// bit-identical to per-cycle ticking: the budget is clamped by the machine
-// to the next device/timer/telemetry event, so nothing external can fire
-// mid-batch; the batch ends after any uncached access, whose MMIO side
-// effects may re-arm those events; and a WAIT poll is pure and idempotent
-// (no architectural decay, COUNT rewritten by the next real step), so once
-// the core reports Waiting the remaining budget is charged without
-// re-polling — the same elision the event-core clock skip performs.
-func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint64 {
+// one machine round-trip per cycle, and returns the cycles consumed, the
+// instructions retired and the WAIT cycles elided. Three invariants keep
+// the result bit-identical to per-cycle ticking: the budget is clamped by
+// the machine to the next device/timer/telemetry event, so nothing
+// external can fire mid-batch; the batch ends after any uncached access,
+// whose MMIO side effects may re-arm those events; and a WAIT poll is pure
+// and idempotent (no architectural decay, COUNT rewritten by the next real
+// step), so once the core reports Waiting the remaining budget is charged
+// without re-polling.
+func (c *Core) RunBatch(start, budget uint64, commit func(*arch.StepInfo)) (ran, retired, skipped uint64) {
 	end := start + budget
 	cyc := start
+	committed := c.Committed
 	if c.busy > 0 {
 		// Finish the stall carried over from the previous batch.
 		n := uint64(c.busy)
@@ -127,7 +107,7 @@ func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint
 		cost := uint64(c.step(cyc, commit))
 		info := &c.scratch
 		if info.Waiting {
-			c.skipped += end - cyc - 1
+			skipped = end - cyc - 1
 			c.col.AddCycles(end - cyc)
 			cyc = end
 			break
@@ -153,12 +133,12 @@ func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint
 			break
 		}
 	}
-	return cyc - start
+	return cyc - start, c.Committed - committed, skipped
 }
 
 // step executes one instruction starting at cycle and returns its total
 // cost in cycles (>= 1). Shared by Tick (which spreads the cost over busy
-// cycles) and TickBatch (which charges it in one AddCycles call).
+// cycles) and RunBatch (which charges it in one AddCycles call).
 func (c *Core) step(cycle uint64, commit func(*arch.StepInfo)) int {
 	c.cpu.StepInto(cycle, &c.scratch)
 	info := &c.scratch

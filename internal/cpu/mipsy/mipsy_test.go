@@ -31,7 +31,7 @@ func build(t *testing.T, src string) (*Core, *arch.CPU, *trace.Collector) {
 	bus := ramBus{ram}
 	cpu := arch.New(bus)
 	col := trace.NewCollector(1_000_000)
-	return New(cpu, mem.NewHierarchy(mem.DefaultHierConfig()), col), cpu, col
+	return New(cpu, mem.NewHierarchy(mem.DefaultHierConfig()), col, nil), cpu, col
 }
 
 func run(t *testing.T, c *Core, maxCycles uint64) uint64 {

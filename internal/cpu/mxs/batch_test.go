@@ -1,9 +1,9 @@
 package mxs
 
-// TickBatch lockstep coverage for the pipeline's rare control states:
+// RunBatch lockstep coverage for the pipeline's rare control states:
 // entering and leaving sleep (WAIT, then an interrupt wake) and halting
 // must behave identically whether the core is ticked one cycle at a time
-// or driven through TickBatch with arbitrary budgets. The scan-based
+// or driven through RunBatch with arbitrary budgets. The scan-based
 // refCore from refsched_test.go is the per-cycle oracle. Both drivers
 // mirror the machine's contract that external events (IRQ assert, HALT)
 // change only at batch boundaries: the batch driver clamps its randomized
@@ -80,8 +80,8 @@ func (r *batchRecorder) commit(col *trace.Collector) func(*arch.StepInfo) {
 	}
 }
 
-// runBatched drives the event core through TickBatch with randomized
-// budgets. The collector cycle charging happens inside TickBatch itself.
+// runBatched drives the event core through RunBatch with randomized
+// budgets. The collector cycle charging happens inside RunBatch itself.
 func runBatched(tb testing.TB, c *Core, cpu *arch.CPU, rng *rand.Rand, ev batchEvents, maxCycles uint64) (*batchRecorder, uint64) {
 	tb.Helper()
 	rec := &batchRecorder{}
@@ -90,7 +90,7 @@ func runBatched(tb testing.TB, c *Core, cpu *arch.CPU, rng *rand.Rand, ev batchE
 	for !rec.done && !c.halted && cyc < maxCycles {
 		ev.inject(cpu, cyc)
 		budget := ev.clamp(cyc, uint64(1+rng.Intn(40)))
-		ran := c.TickBatch(cyc, budget, commit)
+		ran, _, _ := c.RunBatch(cyc, budget, commit)
 		if ran == 0 {
 			break
 		}
@@ -159,7 +159,7 @@ func TestTickBatchSleepWake(t *testing.T) {
 			ev := batchEvents{irqAt: 500 + uint64(rng.Intn(300))}
 
 			bus1, cpu1, col1, h1 := buildSys(t, sleepWakeProgram)
-			core := New(cpu1, h1, col1, bus1, DefaultConfig())
+			core := New(cpu1, h1, col1, nil, bus1, DefaultConfig())
 			evRec, evCyc := runBatched(t, core, cpu1, rng, ev, 100_000)
 
 			bus2, cpu2, col2, h2 := buildSys(t, sleepWakeProgram)
@@ -197,7 +197,7 @@ func TestTickBatchHalt(t *testing.T) {
 			ev := batchEvents{haltAt: 200 + uint64(rng.Intn(800))}
 
 			bus1, cpu1, col1, h1 := buildSys(t, src)
-			core := New(cpu1, h1, col1, bus1, DefaultConfig())
+			core := New(cpu1, h1, col1, nil, bus1, DefaultConfig())
 			evRec, evCyc := runBatched(t, core, cpu1, rng, ev, 1_000_000)
 
 			bus2, cpu2, col2, h2 := buildSys(t, src)

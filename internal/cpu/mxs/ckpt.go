@@ -8,8 +8,8 @@ package mxs
 // the batched unit counts. The scheduler heaps are serialised verbatim —
 // storing the backing array preserves the heap invariant exactly, so the
 // restored core pops events in the identical order. Wiring (cpu, h, col,
-// bus, config, index masks) is reconstructed by New and never serialised;
-// scratch only lives inside a single Tick.
+// sync, bus, config, index masks) is reconstructed by New and never serialised;
+// scratch only lives inside a single cycle.
 
 import (
 	"softwatt/internal/arch"

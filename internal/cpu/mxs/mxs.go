@@ -169,9 +169,9 @@ type Core struct {
 	bus arch.Bus // wrong-path instruction reads
 	// sync publishes exact device time before each batched cycle, so MMIO
 	// reached from fetch (uncached loads/stores execute functionally at
-	// dispatch) sees what a per-cycle loop would have shown it. Bound from
-	// the bus when the bus is the machine; nil in direct harnesses.
-	sync cycleSync
+	// dispatch) sees what a per-cycle loop would have shown it. Nil in
+	// direct harnesses.
+	sync arch.CycleSync
 
 	rob   []robEnt
 	head  int
@@ -227,10 +227,11 @@ type Core struct {
 
 	// sawUncached marks that fetch dispatched an uncached access this
 	// cycle: its MMIO side effects may have re-armed device events, so
-	// TickBatch must end the batch and let the machine re-clamp.
+	// RunBatch must end the batch and let the machine re-clamp.
 	sawUncached bool
-	// skipped counts cycles elided by TickBatch's internal clock skip.
-	skipped uint64
+	// retired counts every retiring instruction handed to commit:
+	// Committed plus the interrupt dispatches that wake a sleeping core.
+	retired uint64
 
 	// Statistics.
 	Committed   uint64
@@ -256,13 +257,16 @@ type Core struct {
 }
 
 // New creates an MXS core. bus is the physical address space used for
-// wrong-path instruction reads (normally the same bus the CPU sees).
-func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector, bus arch.Bus, cfg Config) *Core {
+// wrong-path instruction reads (normally the same bus the CPU sees); sync
+// receives the exact cycle before every cycle of a batch (nil in direct
+// harnesses without MMIO).
+func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector, sync arch.CycleSync, bus arch.Bus, cfg Config) *Core {
 	c := &Core{
 		cfg:    cfg,
 		cpu:    cpu,
 		h:      h,
 		col:    col,
+		sync:   sync,
 		bus:    bus,
 		rob:    make([]robEnt, cfg.WindowSize),
 		ready:  newSlotBits(cfg.WindowSize),
@@ -287,7 +291,6 @@ func New(cpu *arch.CPU, h *mem.Hierarchy, col *trace.Collector, bus arch.Bus, cf
 	c.fetchPC = cpu.PC
 	c.nextSeq = 1
 	c.headSeq = 1
-	c.sync, _ = bus.(cycleSync)
 	// The collector pulls the batched unit counts whenever attribution
 	// placement matters (context move, window flush, totals read), so the
 	// hot path never flushes eagerly.
@@ -319,13 +322,8 @@ func (c *Core) at(i int) *robEnt {
 	return &c.rob[s]
 }
 
-// cycleSync mirrors swift.CycleSync: SyncCycle publishes the exact current
-// cycle to the machine before steps that can reach MMIO.
-type cycleSync interface {
-	SyncCycle(cycle uint64)
-}
-
-// Tick advances one cycle.
+// Tick advances one cycle: the per-cycle reference RunBatch is checked
+// against (the machine's DisableSkip loop).
 func (c *Core) Tick(cycle uint64, commit func(*arch.StepInfo)) {
 	if c.halted {
 		return
@@ -336,19 +334,21 @@ func (c *Core) Tick(cycle uint64, commit func(*arch.StepInfo)) {
 	c.fetch(cycle, commit)
 }
 
-// TickBatch runs up to budget cycles from cycle start inside the core,
+// RunBatch runs up to budget cycles from cycle start inside the core,
 // charging each executed cycle to the collector itself and letting the
-// next-event clock skip (NextEvent) fire without a machine round-trip.
-// The machine clamps the budget to its next device/timer/telemetry event,
-// so the only way device state can change mid-batch is an uncached access
-// dispatched by fetch — sawUncached ends the batch there so the machine
-// re-clamps. Results are bit-identical to per-cycle ticking: the stage
-// order, collector call sequence, and skip accounting are exactly those of
-// runCycles, and SyncCycle keeps the machine's notion of time exact for
-// every cycle that executes.
-func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint64 {
+// next-event clock skip (NextEvent) fire without a machine round-trip. It
+// returns the cycles consumed, the instructions retired and the cycles the
+// skip elided. The machine clamps the budget to its next
+// device/timer/telemetry event, so the only way device state can change
+// mid-batch is an uncached access dispatched by fetch — sawUncached ends
+// the batch there so the machine re-clamps. Results are bit-identical to
+// per-cycle ticking: the stage order and collector call sequence are
+// exactly those of Tick plus AddCycle, and SyncCycle keeps the machine's
+// notion of time exact for every cycle that executes.
+func (c *Core) RunBatch(start, budget uint64, commit func(*arch.StepInfo)) (ran, retired, skipped uint64) {
 	end := start + budget
 	cyc := start
+	retired0 := c.retired
 	for cyc < end && !c.halted {
 		if c.sync != nil {
 			c.sync.SyncCycle(cyc)
@@ -373,26 +373,19 @@ func (c *Core) TickBatch(start, budget uint64, commit func(*arch.StepInfo)) uint
 				target = end
 			}
 			c.col.AddCycles(target - cyc)
-			c.skipped += target - cyc
+			skipped += target - cyc
 			cyc = target
 		}
 	}
-	return cyc - start
-}
-
-// TakeSkipped returns and clears the cycles TickBatch elided (telemetry).
-func (c *Core) TakeSkipped() uint64 {
-	s := c.skipped
-	c.skipped = 0
-	return s
+	return cyc - start, c.retired - retired0, skipped
 }
 
 // NextEvent reports the earliest cycle >= cycle at which the core can make
 // progress: `cycle` itself when commit, issue, or fetch has work now,
 // otherwise the nearest completion/issue-eligibility/fetch-restart event,
 // or never when the core is fully idle (sleeping with an empty window).
-// The machine's run loop uses this to skip the clock over guaranteed
-// no-op cycles (DESIGN.md §11).
+// RunBatch uses this to skip the clock over guaranteed no-op cycles
+// (DESIGN.md §11).
 func (c *Core) NextEvent(cycle uint64) uint64 {
 	if c.halted {
 		return never
@@ -420,10 +413,6 @@ func (c *Core) NextEvent(cycle uint64) uint64 {
 	}
 	return next
 }
-
-// Idle reports deep sleep: WAIT committed and the window fully drained.
-// Nothing can happen until an external interrupt.
-func (c *Core) Idle() bool { return c.sleep && c.count == 0 && !c.halted }
 
 // peekComp returns the earliest live completion event, lazily discarding
 // references whose entries were squashed since they issued.
@@ -564,6 +553,7 @@ func (c *Core) commitStage(cycle uint64, commit func(*arch.StepInfo)) {
 		}
 		if !e.info.Waiting && !e.info.Halted {
 			c.Committed++
+			c.retired++
 			c.col.AddInst(1)
 		}
 		commit(&e.info) // a context move here pulls the batch first
@@ -854,6 +844,7 @@ func (c *Core) fetch(cycle uint64, commit func(*arch.StepInfo)) {
 		}
 		if !info.Waiting {
 			// Woken by an interrupt: info is the interrupt dispatch.
+			c.retired++
 			c.sleep = false
 			c.fetchPC = c.cpu.PC
 			c.wrongPath = false

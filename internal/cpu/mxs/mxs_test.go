@@ -33,7 +33,7 @@ func build(t *testing.T, src string, cfg Config) (*Core, *arch.CPU, *trace.Colle
 	bus := ramBus{ram}
 	cpu := arch.New(bus)
 	col := trace.NewCollector(1_000_000)
-	core := New(cpu, mem.NewHierarchy(mem.DefaultHierConfig()), col, bus, cfg)
+	core := New(cpu, mem.NewHierarchy(mem.DefaultHierConfig()), col, nil, bus, cfg)
 	return core, cpu, col
 }
 

@@ -749,7 +749,7 @@ func TestSchedulerLockstepEquivalence(t *testing.T) {
 				src := randomProgram(rng, 100+rng.Intn(100))
 
 				bus1, cpu1, col1, h1 := buildSys(t, src)
-				ev := New(cpu1, h1, col1, bus1, cfg)
+				ev := New(cpu1, h1, col1, nil, bus1, cfg)
 				evRecs, evCyc := runCommits(t, ev.Tick, 2_000_000)
 
 				bus2, cpu2, col2, h2 := buildSys(t, src)
@@ -845,7 +845,7 @@ func benchBoth(b *testing.B, src string) {
 		var cycles uint64
 		for i := 0; i < b.N; i++ {
 			bus, cpu, col, h := buildSys(b, src)
-			c := New(cpu, h, col, bus, DefaultConfig())
+			c := New(cpu, h, col, nil, bus, DefaultConfig())
 			cycles += benchCycles(b, c.Tick)
 		}
 		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()/1e6, "Mcycles/s")

@@ -21,6 +21,7 @@ import (
 	"softwatt/internal/isa"
 	"softwatt/internal/isa/isatest"
 	"softwatt/internal/mem"
+	"softwatt/internal/trace"
 )
 
 // flatBus adapts mem.RAM to arch.Bus with no MMIO: out-of-range reads
@@ -108,16 +109,18 @@ func TestLockstepRandomPrograms(t *testing.T) {
 				fastSide := lsSetup(code, rand.New(rand.NewSource(seed*977)))
 				refSide := lsSetup(code, rand.New(rand.NewSource(seed*977)))
 				fastSide.cpu.EnableBlocks(fastSide.ram, lsRAMBytes)
-				core := New(fastSide.cpu, fastSide.ram, nopSync{})
+				col := trace.NewCollector(1_000_000)
+				core := New(fastSide.cpu, fastSide.ram, col, nopSync{})
 
 				var info arch.StepInfo
-				retired := uint64(0)
+				retired, cycles := uint64(0), uint64(0)
 				for cycle := uint64(0); cycle < lsSteps; cycle++ {
-					ran, n := core.RunBatch(cycle, 1)
+					ran, n, _ := core.RunBatch(cycle, 1, nil)
 					if ran != 1 {
 						t.Fatalf("cycle %d: RunBatch consumed %d cycles, want 1", cycle, ran)
 					}
 					retired += n
+					cycles += ran
 					refSide.cpu.StepInto(cycle, &info)
 
 					sf, sr := fastSide.cpu.Snapshot(), refSide.cpu.Snapshot()
@@ -134,6 +137,10 @@ func TestLockstepRandomPrograms(t *testing.T) {
 				}
 				if retired == 0 {
 					t.Fatalf("seed %d: vacuous run: nothing retired", seed)
+				}
+				if col.TotalCycles() != cycles || col.TotalInsts() != retired {
+					t.Fatalf("seed %d: collector charged %d cycles/%d insts, batches ran %d/%d",
+						seed, col.TotalCycles(), col.TotalInsts(), cycles, retired)
 				}
 				fb, rb := fastSide.ram.Bytes(), refSide.ram.Bytes()
 				for i := range fb {

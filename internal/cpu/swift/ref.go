@@ -3,6 +3,7 @@ package swift
 import (
 	"softwatt/internal/arch"
 	"softwatt/internal/obs"
+	"softwatt/internal/trace"
 )
 
 // Reference is the oracle for the lockstep equivalence harness: a
@@ -17,20 +18,21 @@ import (
 // fault and is caught at the exact instruction that introduced it.
 type Reference struct {
 	cpu       *arch.CPU
-	sync      CycleSync
+	col       *trace.Collector
+	sync      arch.CycleSync
 	scratch   arch.StepInfo
 	committed uint64
 }
 
 // NewReference builds the exact-stepping batch core.
-func NewReference(cpu *arch.CPU, sync CycleSync) *Reference {
-	return &Reference{cpu: cpu, sync: sync}
+func NewReference(cpu *arch.CPU, col *trace.Collector, sync arch.CycleSync) *Reference {
+	return &Reference{cpu: cpu, col: col, sync: sync}
 }
 
-// RunBatch implements the batch interface by single-stepping the
-// interpreter, with Core's exact accounting: WAIT idling consumes cycles
-// without retiring, uncached accesses and halt end the batch.
-func (r *Reference) RunBatch(start, budget uint64) (ran, retired uint64) {
+// RunBatch single-steps the interpreter with Core's exact accounting and
+// collector charge: WAIT idling consumes cycles without retiring,
+// uncached accesses and halt end the batch.
+func (r *Reference) RunBatch(start, budget uint64, _ func(*arch.StepInfo)) (ran, retired, skipped uint64) {
 	cpu := r.cpu
 	info := &r.scratch
 	for ran < budget {
@@ -49,12 +51,9 @@ func (r *Reference) RunBatch(start, budget uint64) (ran, retired uint64) {
 		}
 	}
 	r.committed += retired
-	return ran, retired
-}
-
-// Tick implements the machine Core interface (unused by the batch loop).
-func (r *Reference) Tick(cycle uint64, commit func(*arch.StepInfo)) {
-	r.RunBatch(cycle, 1)
+	r.col.AddCycles(ran)
+	r.col.AddInst(retired)
+	return ran, retired, 0
 }
 
 // Counters implements the machine Core interface.

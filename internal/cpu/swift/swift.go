@@ -38,27 +38,20 @@ import (
 	"softwatt/internal/isa"
 	"softwatt/internal/mem"
 	"softwatt/internal/obs"
+	"softwatt/internal/trace"
 )
-
-// CycleSync lets the core publish the exact current cycle to the machine
-// before delegating to the interpreter, so MMIO side effects observed
-// during a slow step (timer interval arming, disk submission times) read
-// the same cycle they would under per-cycle ticking.
-type CycleSync interface {
-	SyncCycle(cycle uint64)
-}
 
 // Stats are the superblock cache telemetry counters (the CPU's).
 type Stats = arch.BlockStats
 
-// Core is the fast-forward execution engine. It implements the machine's
-// Core interface (Counters for telemetry) plus the batch interface
-// (RunBatch) the machine's batched run loop drives.
+// Core is the fast-forward execution engine behind the machine's Core
+// interface (RunBatch, and Counters for telemetry).
 type Core struct {
 	cpu  *arch.CPU
 	ram  *mem.RAM
 	mem  []byte
-	sync CycleSync
+	col  *trace.Collector
+	sync arch.CycleSync // required: slow steps may reach MMIO
 
 	scratch   arch.StepInfo
 	committed uint64
@@ -67,9 +60,11 @@ type Core struct {
 // New builds a fast-forward core over the shared functional CPU. The
 // CPU's code cache must be enabled over ram (arch.CPU.EnableBlocks): the
 // core executes its blocks, and its loads and stores below the cache's
-// limit go straight to ram.
-func New(cpu *arch.CPU, ram *mem.RAM, sync CycleSync) *Core {
-	return &Core{cpu: cpu, ram: ram, mem: ram.Bytes(), sync: sync}
+// limit go straight to ram. Each batch charges its cycles and retired
+// instructions to col in bulk: swift performs no per-instruction
+// attribution.
+func New(cpu *arch.CPU, ram *mem.RAM, col *trace.Collector, sync arch.CycleSync) *Core {
+	return &Core{cpu: cpu, ram: ram, mem: ram.Bytes(), col: col, sync: sync}
 }
 
 // Stats returns the superblock cache counters.
@@ -80,21 +75,16 @@ func (c *Core) Counters() obs.CoreCounters {
 	return obs.CoreCounters{Committed: c.committed}
 }
 
-// Tick implements the machine Core interface for completeness; the
-// machine drives batch cores through RunBatch instead. commit is ignored:
-// the fast path maintains no StepInfo.
-func (c *Core) Tick(cycle uint64, commit func(*arch.StepInfo)) {
-	c.RunBatch(cycle, 1)
-}
-
-// RunBatch executes up to budget cycles starting at cycle start and
-// returns the cycles consumed (ran) and instructions retired (excluding
-// WAIT idling, matching mipsy's committed-instruction accounting). It
+// RunBatch executes up to budget cycles starting at cycle start, charges
+// them to the collector, and returns the cycles consumed (ran) and
+// instructions retired (excluding WAIT idling, matching mipsy's
+// committed-instruction accounting); swift elides no cycles (skipped is
+// always 0) and calls no commit: the fast path maintains no StepInfo. It
 // consumes at least one cycle when budget >= 1 and the CPU is not halted.
 // The batch ends early after any uncached (MMIO) access or halt so the
 // machine re-evaluates device timing; interrupt and WAIT state are
 // checked exactly where per-cycle stepping would check them.
-func (c *Core) RunBatch(start, budget uint64) (ran, retired uint64) {
+func (c *Core) RunBatch(start, budget uint64, _ func(*arch.StepInfo)) (ran, retired, skipped uint64) {
 	cpu := c.cpu
 	for ran < budget {
 		if cpu.Halted {
@@ -151,7 +141,9 @@ func (c *Core) RunBatch(start, budget uint64) (ran, retired uint64) {
 		}
 	}
 	c.committed += retired
-	return ran, retired
+	c.col.AddCycles(ran)
+	c.col.AddInst(retired)
+	return ran, retired, 0
 }
 
 // slowStep runs one instruction through the exact interpreter at the

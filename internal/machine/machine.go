@@ -54,65 +54,34 @@ func (k CoreKind) String() string {
 	return "unknown"
 }
 
-// Core is a CPU timing model driving the functional core.
+// Core is a CPU model driving the functional core: a detailed timing model
+// (mipsy, MXS) or a functional fast-forward engine (swift). The machine
+// runs every core the same way, a batch of cycles at a time.
 type Core interface {
-	// Tick advances the pipeline by one cycle, invoking commit (in program
-	// order) for every instruction that architecturally completes.
-	Tick(cycle uint64, commit func(*arch.StepInfo))
+	// RunBatch runs up to budget cycles from cycle start and returns the
+	// cycles consumed (ran), the instructions retired (WAIT idling
+	// excluded) and the cycles an in-core clock skip elided (telemetry).
+	// The machine clamps the budget to its next device/timer/telemetry
+	// event, so nothing external changes mid-batch. The core must consume
+	// at least one cycle per call unless halted, end the batch after any
+	// uncached access so device timing is re-evaluated, publish the exact
+	// cycle through arch.CycleSync before any step that can reach MMIO,
+	// and charge every consumed cycle and retired instruction to the
+	// collector itself. Detailed cores also invoke commit in program order
+	// with the full per-instruction attribution sequence, so their results
+	// are bit-identical to per-cycle ticking; swift attributes nothing.
+	RunBatch(start, budget uint64, commit func(*arch.StepInfo)) (ran, retired, skipped uint64)
 	// Counters returns the model's telemetry counters (committed
-	// instructions, mispredictions, flushes). Read between Ticks only.
+	// instructions, mispredictions, flushes). Read between batches only.
 	Counters() obs.CoreCounters
 }
 
-// batchCore is implemented by functional fast-forward engines that run
-// whole spans of instructions per call instead of one pipeline cycle per
-// Tick. The machine clamps each batch to the next device/telemetry event;
-// the core must consume at least one cycle per call (unless halted), end
-// the batch after any uncached access so device timing is re-evaluated,
-// and report the exact current cycle through SyncCycle before every
-// interpreter-delegated step so MMIO side effects see true time.
-type batchCore interface {
-	// RunBatch executes up to budget cycles from cycle start, returning
-	// cycles consumed and instructions retired (WAIT idling excluded).
-	RunBatch(start, budget uint64) (ran, retired uint64)
-}
-
-// tickBatchCore is implemented by detailed (per-cycle) timing models that
-// can run their stage loop internally for a span of cycles, hoisting the
-// per-cycle machine overhead (interface dispatch, device-event compares,
-// telemetry gate) out of the hot loop and letting the core's own
-// next-event clock skip fire without returning to the machine each cycle.
-// The contract mirrors batchCore: the budget is clamped to the next
-// device/timer/telemetry event, the core must consume at least one cycle
-// per call (unless halted), end the batch after any uncached access so
-// device timing is re-evaluated, and publish the exact current cycle
-// through SyncCycle before any step that can reach MMIO. Unlike
-// batchCore, the core performs full per-instruction attribution itself
-// (AddInst/AddUnits/commit/AddCycles in exactly the per-cycle order), so
-// results are bit-identical to per-cycle ticking.
-type tickBatchCore interface {
-	// TickBatch runs up to budget cycles from cycle start, invoking commit
-	// in program order, and returns the cycles consumed.
-	TickBatch(start, budget uint64, commit func(*arch.StepInfo)) (ran uint64)
-	// TakeSkipped returns and clears the cycles the core's internal
-	// next-event skip elided since the last call (telemetry).
-	TakeSkipped() uint64
-}
-
-// eventCore is implemented by timing models that can report when their
-// next internal event is due, letting the run loop skip the clock over
-// cycles that are guaranteed no-ops (DESIGN.md §11). The skip must be
-// timing-invisible: the loop batch-charges the skipped cycles to the
-// collector and clamps the jump so no device, timer, or telemetry event
-// is crossed.
-type eventCore interface {
-	// NextEvent returns the earliest cycle >= cycle at which the core can
-	// make progress (cycle itself when it has work now; math.MaxUint64
-	// when only an external interrupt can unblock it).
-	NextEvent(cycle uint64) uint64
-	// Idle reports that the core is asleep with an empty pipeline (WAIT
-	// committed), where even the per-cycle functional poll is pure.
-	Idle() bool
+// ticker is the per-cycle reference of a detailed core: Tick advances the
+// pipeline by one cycle, invoking commit in program order for every
+// instruction that architecturally completes. Only the DisableSkip oracle
+// loop (runCycles) uses it.
+type ticker interface {
+	Tick(cycle uint64, commit func(*arch.StepInfo))
 }
 
 // Config describes one machine instance.
@@ -187,7 +156,7 @@ type Machine struct {
 	dcSector, dcCount, dcDMA uint32
 
 	timerNext uint64
-	commit    func(*arch.StepInfo) // bound once; avoids per-cycle allocation
+	commit    func(*arch.StepInfo) // m.attribute, bound once; avoids per-batch allocation
 
 	// Live telemetry (nil unless metrics were enabled at construction).
 	// obsNext is MaxUint64 when disabled so the run loop pays one
@@ -211,29 +180,17 @@ type Machine struct {
 	// attribute's profiler hook to a single dormant compare.
 	epOn bool
 
-	// evc is the core's event interface when it has one (MXS); nil keeps
-	// the run loop on the plain per-cycle path (mipsy).
-	evc eventCore
-	// bc is the core's batch interface when it has one (swift); non-nil
-	// routes Run through the batched loop.
-	bc batchCore
-	// tbc is the core's batch-tick interface when it has one (mipsy, MXS);
-	// non-nil routes Run through runTickBatches unless DebugStep or
-	// DisableSkip demands the per-cycle loop.
-	tbc tickBatchCore
-	// skipped counts cycles elided by the next-event skip (telemetry).
+	// skipped counts cycles the cores' in-batch skips elided (telemetry).
 	skipped uint64
-	// DisableSkip forces per-cycle ticking even on an event-driven core.
-	// Diagnostic/test knob: results are bit-identical either way.
+	// DisableSkip runs a detailed core one Tick per cycle instead of in
+	// batches: the per-cycle oracle the batch path is tested against.
+	// Results are bit-identical either way; swift ignores it.
 	DisableSkip bool
 
 	// Committed counts committed instructions (excluding bubbles).
 	Committed uint64
 	// Faults counts exceptions by code (diagnostics).
 	Faults [32]uint64
-
-	// DebugStep, when set, observes every committed instruction.
-	DebugStep func(cycle uint64, info *arch.StepInfo)
 
 	// customCore marks machines whose core was replaced post-construction
 	// (NewWithMXSWindow): RestoreState cannot rebuild such a core, so
@@ -347,7 +304,7 @@ func New(cfg Config, w Workload) (*Machine, error) {
 		m.cfg.TimelineCycles = (cfg.TimelineCycles + w - 1) / w * w
 		m.tlNext = m.cfg.TimelineCycles
 	}
-	m.commit = m.commitFn
+	m.commit = m.attribute
 	return m, nil
 }
 
@@ -361,33 +318,28 @@ func (m *Machine) fastLimit() uint32 {
 }
 
 // newCore (re)builds the timing core for the configured kind over the
-// machine's current functional state, rebinding the event/batch interfaces.
+// machine's current functional state.
 // Called at construction and again by RestoreState, where the rebuild
 // re-points construction-time state (MXS fetch PC, collector drain) at the
 // restored CPU.
 func (m *Machine) newCore() error {
 	switch m.cfg.Core {
 	case CoreMipsy:
-		c := mipsy.New(m.cpu, m.hier, m.col)
-		c.BindCycleSync(m)
-		m.core = c
+		m.core = mipsy.New(m.cpu, m.hier, m.col, m)
 	case CoreMXS:
-		m.core = mxs.New(m.cpu, m.hier, m.col, m, mxs.DefaultConfig())
+		m.core = mxs.New(m.cpu, m.hier, m.col, m, m, mxs.DefaultConfig())
 	case CoreMXS1:
 		c := mxs.DefaultConfig()
 		c.FetchWidth, c.IssueWidth, c.CommitWidth = 1, 1, 1
 		c.IntUnits, c.FPUnits = 1, 1
-		m.core = mxs.New(m.cpu, m.hier, m.col, m, c)
+		m.core = mxs.New(m.cpu, m.hier, m.col, m, m, c)
 	case CoreSwift:
-		m.core = swift.New(m.cpu, m.ram, m)
+		m.core = swift.New(m.cpu, m.ram, m.col, m)
 	case CoreSwiftRef:
-		m.core = swift.NewReference(m.cpu, m)
+		m.core = swift.NewReference(m.cpu, m.col, m)
 	default:
 		return fmt.Errorf("machine: unknown core kind %d", m.cfg.Core)
 	}
-	m.evc, _ = m.core.(eventCore)
-	m.bc, _ = m.core.(batchCore)
-	m.tbc, _ = m.core.(tickBatchCore)
 	return nil
 }
 
@@ -404,9 +356,7 @@ func NewWithMXSWindow(cfg Config, w Workload, window int) (*Machine, error) {
 	if c.LSQSize > window {
 		c.LSQSize = window
 	}
-	m.core = mxs.New(m.cpu, m.hier, m.col, m, c)
-	m.evc, _ = m.core.(eventCore)
-	m.tbc, _ = m.core.(tickBatchCore)
+	m.core = mxs.New(m.cpu, m.hier, m.col, m, m, c)
 	m.customCore = true
 	return m, nil
 }
@@ -451,8 +401,9 @@ func (m *Machine) Halted() bool { return m.halted }
 // Cycle returns the current cycle.
 func (m *Machine) Cycle() uint64 { return m.cycle }
 
-// SkippedCycles returns how many cycles the next-event skip elided
-// (always 0 on cores without an event scheduler or with DisableSkip).
+// SkippedCycles returns how many cycles the cores' in-batch skips elided:
+// MXS's next-event clock skip and mipsy's WAIT elision (always 0 on swift
+// and with DisableSkip).
 func (m *Machine) SkippedCycles() uint64 { return m.skipped }
 
 // CoreCounters returns the timing core's counter snapshot (the same values
@@ -497,17 +448,7 @@ func (m *Machine) Run(maxCycles uint64) error {
 			m.tele.sim.MachinesActive.Add(-1)
 		}()
 	}
-	switch {
-	case m.bc != nil:
-		if m.DebugStep != nil {
-			return fmt.Errorf("machine: %s core does not support DebugStep", m.cfg.Core)
-		}
-		m.runBatches(limit)
-	case m.useTickBatches():
-		m.runTickBatches(limit)
-	default:
-		m.runCycles(limit)
-	}
+	m.run(limit)
 	if !m.halted {
 		return fmt.Errorf("machine: %s did not halt within %d cycles (pc=%08x)",
 			m.cfg.Core, maxCycles, m.cpu.PC)
@@ -519,25 +460,7 @@ func (m *Machine) Run(maxCycles uint64) error {
 // StepCycles advances the machine by exactly n cycles (or to the halt),
 // without Run's did-not-halt error: the lockstep equivalence harness's
 // stepping primitive, valid on every core kind.
-func (m *Machine) StepCycles(n uint64) {
-	limit := m.cycle + n
-	switch {
-	case m.bc != nil:
-		m.runBatches(limit)
-	case m.useTickBatches():
-		m.runTickBatches(limit)
-	default:
-		m.runCycles(limit)
-	}
-}
-
-// useTickBatches reports whether the detailed-core batch loop applies:
-// DebugStep needs per-cycle commits with an accurate m.cycle (and observes
-// the WAIT polls a batch elides), and DisableSkip explicitly requests
-// per-cycle ticking; both fall back to runCycles.
-func (m *Machine) useTickBatches() bool {
-	return m.tbc != nil && m.DebugStep == nil && !m.DisableSkip
-}
+func (m *Machine) StepCycles(n uint64) { m.run(m.cycle + n) }
 
 // stepDevices fires every device/telemetry event due at the current
 // cycle: shared by the per-cycle and batched run loops.
@@ -564,7 +487,7 @@ func (m *Machine) stepDevices() {
 // into one per-mode activity bucket, and the disk's cumulative energy is
 // read (a pure function of the current cycle). Called from stepDevices on
 // exact interval boundaries — the interval is a multiple of the sample
-// window, and both run loops clamp their batches to tlNext — and once more
+// window, and the batch loop clamps its batches to tlNext — and once more
 // by FinishTimeline for the trailing partial interval.
 func (m *Machine) recordTimeline() {
 	p := trace.TimelinePoint{Start: m.tlStart, End: m.cycle}
@@ -603,56 +526,32 @@ func (m *Machine) Timeline() []trace.TimelinePoint { return m.timeline }
 
 // SetEnergyProfiler installs (or, with nil, removes) the energy-profiler
 // sink: the collector keys activity by PC bucket and the per-commit
-// attribution path starts tracking the guest PC and ASID. Batch cores
-// (swift) perform no per-instruction attribution, so the profiler requires
-// a detailed core; the facade enforces that.
+// attribution path starts tracking the guest PC and ASID. swift performs
+// no per-instruction attribution, so the profiler requires a detailed
+// core; the facade enforces that.
 func (m *Machine) SetEnergyProfiler(sink trace.EnergySink, shift uint32) {
 	m.col.SetEnergySink(sink, shift)
 	m.epOn = sink != nil
 }
 
-// SyncCycle lets a batch core set true device time before delegating an
-// instruction to the interpreter, so MMIO handlers that read or latch
-// m.cycle (timer arming, disk submission) observe exactly the cycle a
-// per-cycle loop would have shown them. Part of the swift.CycleSync
-// contract; the authoritative post-batch update happens in runBatches.
+// SyncCycle lets a core set true device time before a step inside a
+// batch, so MMIO handlers that read or latch m.cycle (timer arming, disk
+// submission) observe exactly the cycle a per-cycle loop would have shown
+// them. The machine's arch.CycleSync; the authoritative post-batch update
+// happens in run.
 func (m *Machine) SyncCycle(cycle uint64) { m.cycle = cycle }
 
-// runBatches is the run loop for batch cores: instead of ticking every
-// cycle, it hands the core a budget bounded by the next device, timer, or
-// telemetry event and batch-charges the consumed cycles and retired
-// instructions to the collector (AddCycles/AddInst split at sample-window
-// boundaries, so window accounting stays exact). Batch cores perform no
-// per-instruction attribution: fast-forward runs report functional
-// results and totals, not per-mode power.
-func (m *Machine) runBatches(limit uint64) {
-	for !m.halted && m.cycle < limit {
-		m.stepDevices()
-		target := limit
-		for _, ev := range [4]uint64{m.dsk.NextEvent(), m.timerNext, m.obsNext, m.tlNext} {
-			if ev > m.cycle && ev < target {
-				target = ev
-			}
+// run advances the machine to limit (or the halt). Each iteration fires
+// the devices due now and hands the core a budget bounded by the next
+// device, timer, or telemetry event; the core charges the collector
+// itself. DisableSkip instead ticks a detailed core once per cycle.
+func (m *Machine) run(limit uint64) {
+	if m.DisableSkip {
+		if t, ok := m.core.(ticker); ok {
+			m.runCycles(t, limit)
+			return
 		}
-		start := m.cycle
-		ran, retired := m.bc.RunBatch(start, target-start)
-		if ran == 0 {
-			break // CPU halted outside the machine's control: stop cleanly
-		}
-		m.cycle = start + ran
-		m.col.AddCycles(ran)
-		m.col.AddInst(retired)
-		m.Committed += retired
 	}
-}
-
-// runTickBatches is the run loop for detailed cores implementing
-// tickBatchCore: each iteration hands the core a cycle budget bounded by
-// the next device, timer, or telemetry event and lets it run its stage
-// loop (and its own next-event clock skip) without returning to the
-// machine. The core performs the complete per-cycle attribution sequence
-// internally, so the serialized results are bit-identical to runCycles.
-func (m *Machine) runTickBatches(limit uint64) {
 	for !m.halted && m.cycle < limit {
 		m.stepDevices()
 		target := limit
@@ -663,65 +562,32 @@ func (m *Machine) runTickBatches(limit uint64) {
 		}
 		// Latch start: SyncCycle moves m.cycle during the batch.
 		start := m.cycle
-		ran := m.tbc.TickBatch(start, target-start, m.commit)
+		ran, retired, skipped := m.core.RunBatch(start, target-start, m.commit)
 		m.cycle = start + ran
-		m.skipped += m.tbc.TakeSkipped()
+		m.Committed += retired
+		m.skipped += skipped
 		if ran == 0 {
 			break // CPU halted outside the machine's control: stop cleanly
 		}
 	}
 }
 
-// runCycles is the per-cycle run loop driving Tick-based timing models.
-func (m *Machine) runCycles(limit uint64) {
+// runCycles is the per-cycle oracle: one Tick and one collector cycle per
+// cycle, with every device event checked each cycle. Tick reports no
+// retired count, so committed instructions are counted from the commit
+// stream.
+func (m *Machine) runCycles(t ticker, limit uint64) {
+	commit := func(info *arch.StepInfo) {
+		if !info.Waiting && !info.Halted {
+			m.Committed++
+		}
+		m.attribute(info)
+	}
 	for !m.halted && m.cycle < limit {
-		// Device time.
 		m.stepDevices()
-
-		m.core.Tick(m.cycle, m.commit)
+		t.Tick(m.cycle, commit)
 		m.col.AddCycle()
 		m.cycle++
-
-		// Next-event skip: when the core reports that nothing can happen
-		// before a future cycle, jump there, batch-charging the skipped
-		// cycles in the current attribution context (AddCycles splits at
-		// sample-window boundaries, so the serialized samples are
-		// bit-identical to per-cycle ticking). The jump is clamped so the
-		// disk, timer, and telemetry checks above still fire on their
-		// exact cycles. Ticks during deep sleep poll the functional core
-		// for interrupts (a pure, idempotent step while every external
-		// event is in the future), so they may be elided too — except
-		// under DebugStep, which observes each polled Waiting commit.
-		if m.evc == nil || m.DisableSkip || m.halted || m.cycle >= limit {
-			continue
-		}
-		next := m.evc.NextEvent(m.cycle)
-		if next <= m.cycle {
-			continue
-		}
-		if m.evc.Idle() && m.DebugStep != nil {
-			continue
-		}
-		target := next
-		if target > limit {
-			target = limit
-		}
-		due := false
-		for _, ev := range [4]uint64{m.dsk.NextEvent(), m.timerNext, m.obsNext, m.tlNext} {
-			if ev <= m.cycle {
-				due = true // an external event is due right now: no skip
-				break
-			}
-			if ev < target {
-				target = ev
-			}
-		}
-		if due || target <= m.cycle {
-			continue
-		}
-		m.col.AddCycles(target - m.cycle)
-		m.skipped += target - m.cycle
-		m.cycle = target
 	}
 }
 
@@ -758,20 +624,10 @@ func (m *Machine) svcFor(info *arch.StepInfo) trace.Svc {
 	}
 }
 
-// commitFn is passed to the core's Tick; bound once to avoid per-cycle
-// closure allocation.
-func (m *Machine) commitFn(info *arch.StepInfo) { m.attribute(info) }
-
 // attribute updates the software context from one committed instruction.
 func (m *Machine) attribute(info *arch.StepInfo) {
-	if m.DebugStep != nil {
-		m.DebugStep(m.cycle, info)
-	}
 	if info.Halted {
 		return
-	}
-	if !info.Waiting {
-		m.Committed++
 	}
 	if info.TookException {
 		m.Faults[info.ExcCode]++

@@ -1,11 +1,12 @@
 package softwatt
 
-// Clock-skip equivalence: the machine run loop's next-event skip
-// (machine.Machine.DisableSkip) batch-charges elided cycles instead of
-// ticking through them one at a time. DESIGN.md §11 argues the batch is
-// exact; this test enforces it end-to-end on a full OS boot + workload run:
-// with and without skipping, the serialized result bytes must be identical
-// down to every sample window, unit count and Welford state.
+// Clock-skip equivalence: MXS's next-event skip, inside its batch,
+// batch-charges elided cycles instead of ticking through them one at a
+// time (machine.Machine.DisableSkip ticks instead). DESIGN.md §11 argues
+// the batch is exact; this test enforces it end-to-end on a full OS boot +
+// workload run: with and without skipping, the serialized result bytes
+// must be identical down to every sample window, unit count and Welford
+// state.
 
 import (
 	"bytes"
