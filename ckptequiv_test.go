@@ -114,6 +114,23 @@ func TestCheckpointEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesDeterministic: checkpoints of one machine state are
+// byte-identical, so the artifacts built from them (FF reservoirs, resume
+// checkpoints) are reproducible. The kernel's per-process service stacks
+// live in a map, and Go randomises map iteration order.
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	m, _ := newCkptMachine(t, "compress", "swift")
+	defer m.Release()
+	m.StepCycles(600_000) // past the first process switch: two service stacks
+	first := m.Checkpoint()
+	for i := 0; i < 16; i++ {
+		if again := m.Checkpoint(); !bytes.Equal(again, first) {
+			t.Fatalf("checkpoint %d of one state differs from the first at byte %d",
+				i+1, firstDiff(again, first))
+		}
+	}
+}
+
 // TestCheckpointCrossCore: a checkpoint taken under the swift fast-forward
 // core restores onto a detailed core — the sampling primitive. The detailed
 // core starts cold (that is the documented cold-start bias), so only

@@ -3,6 +3,10 @@ package softwatt
 import (
 	"math"
 	"testing"
+
+	"softwatt/internal/core"
+	"softwatt/internal/machine"
+	"softwatt/internal/workload"
 )
 
 // TestIdleHaltSavesEnergy validates the paper's §5 proposal implemented as
@@ -69,5 +73,39 @@ func TestTraceDrivenKernelEstimation(t *testing.T) {
 			t.Logf("%s: full estimate (%.1f%%) beat internal-only (%.1f%%) — unusual but not wrong",
 				te.Benchmark, te.ErrorPct, te.InternalErrorPct)
 		}
+	}
+}
+
+// TestIdleHaltCommittedAgrees: under IdleHalt, the interrupt dispatch that
+// wakes a sleeping core retires as an instruction on both detailed cores,
+// so the machine's commit-stream count, the collector's (the result's
+// Committed) and the core's own counter agree.
+func TestIdleHaltCommittedAgrees(t *testing.T) {
+	for _, coreName := range []string{"mipsy", "mxs"} {
+		t.Run(coreName, func(t *testing.T) {
+			cfg, err := Options{Core: coreName, IdleHalt: true}.MachineConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := workload.Build("jess")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := machine.New(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Release()
+			if err := m.Run(0); err != nil {
+				t.Fatal(err)
+			}
+			r := core.Collect(m, "jess", coreName)
+			if r.IdleCycles == 0 {
+				t.Fatal("the run never idled: no WAIT sleep to wake from")
+			}
+			if cc := m.CoreCounters().Committed; m.Committed != r.Committed || cc != r.Committed {
+				t.Fatalf("committed: machine %d, result %d, core %d", m.Committed, r.Committed, cc)
+			}
+		})
 	}
 }

@@ -229,9 +229,6 @@ type Core struct {
 	// cycle: its MMIO side effects may have re-armed device events, so
 	// RunBatch must end the batch and let the machine re-clamp.
 	sawUncached bool
-	// retired counts every retiring instruction handed to commit:
-	// Committed plus the interrupt dispatches that wake a sleeping core.
-	retired uint64
 
 	// Statistics.
 	Committed   uint64
@@ -348,7 +345,7 @@ func (c *Core) Tick(cycle uint64, commit func(*arch.StepInfo)) {
 func (c *Core) RunBatch(start, budget uint64, commit func(*arch.StepInfo)) (ran, retired, skipped uint64) {
 	end := start + budget
 	cyc := start
-	retired0 := c.retired
+	committed0 := c.Committed
 	for cyc < end && !c.halted {
 		if c.sync != nil {
 			c.sync.SyncCycle(cyc)
@@ -377,7 +374,7 @@ func (c *Core) RunBatch(start, budget uint64, commit func(*arch.StepInfo)) (ran,
 			cyc = target
 		}
 	}
-	return cyc - start, c.retired - retired0, skipped
+	return cyc - start, c.Committed - committed0, skipped
 }
 
 // NextEvent reports the earliest cycle >= cycle at which the core can make
@@ -553,7 +550,6 @@ func (c *Core) commitStage(cycle uint64, commit func(*arch.StepInfo)) {
 		}
 		if !e.info.Waiting && !e.info.Halted {
 			c.Committed++
-			c.retired++
 			c.col.AddInst(1)
 		}
 		commit(&e.info) // a context move here pulls the batch first
@@ -837,14 +833,19 @@ func (c *Core) fetch(cycle uint64, commit func(*arch.StepInfo)) {
 		}
 		c.cpu.StepInto(cycle, &c.scratch)
 		info := &c.scratch
+		woken := !info.Waiting && !info.Halted
+		if woken {
+			// Woken by an interrupt: info is the interrupt dispatch, which
+			// retires as an instruction, as on mipsy.
+			c.Committed++
+			c.col.AddInst(1)
+		}
 		commit(info)
 		if info.Halted {
 			c.halted = true
 			return
 		}
-		if !info.Waiting {
-			// Woken by an interrupt: info is the interrupt dispatch.
-			c.retired++
+		if woken {
 			c.sleep = false
 			c.fetchPC = c.cpu.PC
 			c.wrongPath = false

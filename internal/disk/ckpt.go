@@ -12,6 +12,39 @@ package disk
 
 import "softwatt/internal/ckpt"
 
+// Encode writes the statistics as the block every saved artifact carries
+// (the run log's DISK section, the FFRS reservoir and the SRES sampled
+// result): the five activity counters, then the state count and the
+// per-state cycle counts.
+func (s *Stats) Encode(w *ckpt.Writer) {
+	w.U64(s.Reads)
+	w.U64(s.Writes)
+	w.U64(s.BytesMoved)
+	w.U64(s.Spinups)
+	w.U64(s.Spindowns)
+	w.U32(uint32(len(s.StateCycles)))
+	for _, c := range s.StateCycles {
+		w.U64(c)
+	}
+}
+
+// Decode reads a block written by Encode. The recorded state count must
+// equal NumStates: a block from a binary with another disk-mode set is
+// corrupt, never truncated or padded to fit.
+func (s *Stats) Decode(r *ckpt.Reader) {
+	s.Reads = r.U64()
+	s.Writes = r.U64()
+	s.BytesMoved = r.U64()
+	s.Spinups = r.U64()
+	s.Spindowns = r.U64()
+	if n := r.U32(); r.Err() == nil && n != uint32(numStates) {
+		r.Corrupt("%d disk state counters, want %d", n, NumStates)
+	}
+	for i := range s.StateCycles {
+		s.StateCycles[i] = r.U64()
+	}
+}
+
 // EncodeState serialises the disk's complete mutable state.
 func (d *Disk) EncodeState(w *ckpt.Writer) {
 	w.U8(uint8(d.state))

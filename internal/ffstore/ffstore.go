@@ -67,15 +67,7 @@ func (r *Reservoir) Encode() []byte {
 	w.U64(r.Committed)
 	w.F64(r.DiskEnergyJ)
 	w.U64(r.IdleCycles)
-	w.U64(r.DiskStats.Reads)
-	w.U64(r.DiskStats.Writes)
-	w.U64(r.DiskStats.BytesMoved)
-	w.U64(r.DiskStats.Spinups)
-	w.U64(r.DiskStats.Spindowns)
-	w.U32(uint32(len(r.DiskStats.StateCycles)))
-	for _, c := range r.DiskStats.StateCycles {
-		w.U64(c)
-	}
+	r.DiskStats.Encode(&w)
 	w.U32(uint32(len(r.Entries)))
 	for i := range r.Entries {
 		w.U64(r.Entries[i].Cycle)
@@ -101,18 +93,7 @@ func Decode(data []byte) (*Reservoir, error) {
 	res.Committed = r.U64()
 	res.DiskEnergyJ = r.F64()
 	res.IdleCycles = r.U64()
-	res.DiskStats.Reads = r.U64()
-	res.DiskStats.Writes = r.U64()
-	res.DiskStats.BytesMoved = r.U64()
-	res.DiskStats.Spinups = r.U64()
-	res.DiskStats.Spindowns = r.U64()
-	if n := r.Count(8); n != len(res.DiskStats.StateCycles) && r.Err() == nil {
-		return nil, fmt.Errorf("ffstore: %d disk state counters, want %d",
-			n, len(res.DiskStats.StateCycles))
-	}
-	for i := range res.DiskStats.StateCycles {
-		res.DiskStats.StateCycles[i] = r.U64()
-	}
+	res.DiskStats.Decode(r)
 	n := r.Count(8 + 4) // cycle + payload length prefix per entry, minimum
 	res.Entries = make([]Entry, n)
 	for i := range res.Entries {

@@ -21,6 +21,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"softwatt/internal/arch"
 	"softwatt/internal/ckpt"
@@ -66,8 +67,16 @@ func (m *Machine) Checkpoint() []byte {
 	}
 
 	w.U32(m.curPid)
-	w.U32(uint32(len(m.svcStacks)))
-	for pid, stk := range m.svcStacks {
+	// Stacks go out in pid order: map order would make two checkpoints of
+	// one state differ in bytes.
+	pids := make([]uint32, 0, len(m.svcStacks))
+	for pid := range m.svcStacks {
+		pids = append(pids, pid)
+	}
+	slices.Sort(pids)
+	w.U32(uint32(len(pids)))
+	for _, pid := range pids {
+		stk := m.svcStacks[pid]
 		w.U32(pid)
 		w.U32(uint32(len(stk.s)))
 		for _, s := range stk.s {

@@ -104,7 +104,7 @@ func newTelemetry() *telemetry {
 	t.slowSteps = r.Counter("softwatt_slow_steps_total",
 		"Steps through the exact interpreter: interrupts, fetches no block serves, off-list ops, exceptions, swift hand-offs (all cores).", "")
 	t.skipCycles = r.Counter("softwatt_mxs_skip_cycles_total",
-		"Cycles elided by the next-event clock skip (MXS event-driven scheduler).", "")
+		"Cycles elided inside a core's batch call: the MXS next-event clock skip and mipsy's WAIT elision (all cores).", "")
 	t.windowOcc = r.Histogram("softwatt_mxs_window_occupancy",
 		"Instruction-window occupancy sampled at each telemetry publication (MXS).", "",
 		[]float64{0, 4, 8, 16, 24, 32, 40, 48, 56, 64})

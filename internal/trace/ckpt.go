@@ -21,7 +21,18 @@ import (
 // TagCkpt is the container section carrying a machine checkpoint.
 var TagCkpt = [4]byte{'C', 'K', 'P', 'T'}
 
-func encodeBucket(w *ckpt.Writer, b *Bucket) {
+// Encoded sizes of one bucket and one sample window: the minimum bytes a
+// counted record occupies, for validating counts before allocation.
+const (
+	BucketBytes = int(NumUnits)*8 + 16
+	SampleBytes = 16 + int(NumModes)*BucketBytes
+)
+
+// The bucket, sample and Welford encoders below are shared by the
+// collector checkpoint and the run log (internal/core).
+
+// EncodeBucket writes b's unit counters, cycles and instructions.
+func EncodeBucket(w *ckpt.Writer, b *Bucket) {
 	for _, u := range b.Units {
 		w.U64(u)
 	}
@@ -29,7 +40,8 @@ func encodeBucket(w *ckpt.Writer, b *Bucket) {
 	w.U64(b.Insts)
 }
 
-func decodeBucket(r *ckpt.Reader, b *Bucket) {
+// DecodeBucket reads a bucket written by EncodeBucket.
+func DecodeBucket(r *ckpt.Reader, b *Bucket) {
 	for i := range b.Units {
 		b.Units[i] = r.U64()
 	}
@@ -37,23 +49,26 @@ func decodeBucket(r *ckpt.Reader, b *Bucket) {
 	b.Insts = r.U64()
 }
 
-func encodeSample(w *ckpt.Writer, s *Sample) {
+// EncodeSample writes a sample window's range and per-mode buckets.
+func EncodeSample(w *ckpt.Writer, s *Sample) {
 	w.U64(s.Start)
 	w.U64(s.End)
 	for m := range s.Mode {
-		encodeBucket(w, &s.Mode[m])
+		EncodeBucket(w, &s.Mode[m])
 	}
 }
 
-func decodeSample(r *ckpt.Reader, s *Sample) {
+// DecodeSample reads a sample window written by EncodeSample.
+func DecodeSample(r *ckpt.Reader, s *Sample) {
 	s.Start = r.U64()
 	s.End = r.U64()
 	for m := range s.Mode {
-		decodeBucket(r, &s.Mode[m])
+		DecodeBucket(r, &s.Mode[m])
 	}
 }
 
-func encodeWelford(w *ckpt.Writer, st stats.WelfordState) {
+// EncodeWelford writes a Welford aggregate's complete state.
+func EncodeWelford(w *ckpt.Writer, st stats.WelfordState) {
 	w.U64(st.N)
 	w.F64(st.Mean)
 	w.F64(st.M2)
@@ -61,7 +76,8 @@ func encodeWelford(w *ckpt.Writer, st stats.WelfordState) {
 	w.F64(st.Max)
 }
 
-func decodeWelford(r *ckpt.Reader) stats.WelfordState {
+// DecodeWelford reads a Welford state written by EncodeWelford.
+func DecodeWelford(r *ckpt.Reader) stats.WelfordState {
 	return stats.WelfordState{
 		N: r.U64(), Mean: r.F64(), M2: r.F64(), Min: r.F64(), Max: r.F64(),
 	}
@@ -78,19 +94,19 @@ func (c *Collector) EncodeState(w *ckpt.Writer) {
 	w.U64(c.WindowCycles)
 	w.U8(uint8(c.mode))
 	w.U8(uint8(c.svc))
-	encodeSample(w, &c.cur)
+	EncodeSample(w, &c.cur)
 	w.U32(uint32(len(c.samples)))
 	for i := range c.samples {
-		encodeSample(w, &c.samples[i])
+		EncodeSample(w, &c.samples[i])
 	}
 	for i := range c.services {
 		st := &c.services[i]
 		w.U64(st.Invocations)
-		encodeBucket(w, &st.Total)
-		encodeWelford(w, st.EnergyPerInv.State())
+		EncodeBucket(w, &st.Total)
+		EncodeWelford(w, st.EnergyPerInv.State())
 	}
 	for i := range c.invAcc {
-		encodeBucket(w, &c.invAcc[i])
+		EncodeBucket(w, &c.invAcc[i])
 	}
 	w.U64(c.totalCycles)
 	w.U64(c.totalInsts)
@@ -120,20 +136,20 @@ func (c *Collector) DecodeState(r *ckpt.Reader) {
 		return
 	}
 	c.svc = Svc(svc)
-	decodeSample(r, &c.cur)
-	n := r.Count(sampleBytes)
+	DecodeSample(r, &c.cur)
+	n := r.Count(SampleBytes)
 	c.samples = make([]Sample, n)
 	for i := range c.samples {
-		decodeSample(r, &c.samples[i])
+		DecodeSample(r, &c.samples[i])
 	}
 	for i := range c.services {
 		st := &c.services[i]
 		st.Invocations = r.U64()
-		decodeBucket(r, &st.Total)
-		st.EnergyPerInv = stats.WelfordFromState(decodeWelford(r))
+		DecodeBucket(r, &st.Total)
+		st.EnergyPerInv = stats.WelfordFromState(DecodeWelford(r))
 	}
 	for i := range c.invAcc {
-		decodeBucket(r, &c.invAcc[i])
+		DecodeBucket(r, &c.invAcc[i])
 	}
 	c.totalCycles = r.U64()
 	c.totalInsts = r.U64()

@@ -140,10 +140,16 @@ type EnergySink interface {
 	Charge(pcBucket uint32, mode Mode, asid uint8, b *Bucket)
 }
 
+// ConfigEntry is one key=value pair of a run's resolved configuration,
+// recorded in the run log's CONF section (internal/core).
+type ConfigEntry struct {
+	Key, Value string
+}
+
 // EProfEntry is one aggregated energy-profile row: all activity charged to
 // one (PC bucket, mode, ASID) key. PCBucket is the guest PC right-shifted
 // by the profile's bucket shift; EnergyPJ is the modeled energy in
-// picojoules. Serialized in the EPRF logv2 section.
+// picojoules. Serialized in the run log's EPRF section.
 type EProfEntry struct {
 	PCBucket uint32
 	Mode     Mode
@@ -157,7 +163,7 @@ type EProfEntry struct {
 // activity that accrued in [Start, End) plus the cumulative disk energy in
 // joules at End. Watts are derived at render time by running the per-mode
 // buckets through the power model, so the recorded log stays
-// power-model-agnostic. Serialized in the TLIN logv2 section.
+// power-model-agnostic. Serialized in the run log's TLIN section.
 type TimelinePoint struct {
 	Start, End uint64
 	Mode       [NumModes]Bucket

@@ -115,14 +115,3 @@ func TestBucketAddProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestLogRejectsGarbage: bytes that are not a container at all fail to
-// load as a run log.
-func TestLogRejectsGarbage(t *testing.T) {
-	if _, err := ReadRunRecord([]byte("not a log file")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadRunRecord(nil); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}

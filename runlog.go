@@ -4,7 +4,7 @@ package softwatt
 // numbers come from a pass over sampled simulation logs, not from the live
 // simulation (disk energy excepted). This file makes that split durable —
 // a complete RunResult saves to a versioned self-describing run log
-// (internal/trace) and loads back bit-identically, so every table and
+// (internal/core) and loads back bit-identically, so every table and
 // figure can be regenerated from saved logs with zero re-simulation, and a
 // directory of logs acts as a simulation cache keyed by a digest of the
 // resolved configuration.
@@ -37,7 +37,7 @@ func LoadResult(r io.Reader) (*RunResult, error) {
 // atomically: concurrent RunBatch workers see the old complete file,
 // no file, or the new complete file.
 func SaveResultFile(path string, r *RunResult) error {
-	return store.Save(path, r.ToRecord().Sections()...)
+	return store.Save(path, r.Sections()...)
 }
 
 // LoadResultFile reads a run log file.

@@ -471,79 +471,61 @@ func runSampledWorkload(benchmark string, w machine.Workload, opt Options, so Sa
 		}
 	}
 
-	if !adaptive {
-		// Fixed mode: N windows spread evenly across the eligible entries.
-		sel := eligible
-		if len(eligible) > so.Windows {
-			sel = make([]ffstore.Entry, so.Windows)
-			for i := range sel {
-				if so.Windows == 1 {
-					sel[i] = eligible[len(eligible)/2]
+	// Waves double the measured window count, each wave spreading its
+	// picks evenly over the entries not yet measured, until the CI target,
+	// the window cap, or reservoir exhaustion. Fixed mode is the first wave
+	// alone: N windows spread evenly across the eligible entries.
+	unused := make([]ffstore.Entry, len(eligible))
+	copy(unused, eligible)
+	next := so.Windows
+	for {
+		if next > so.MaxWindows-len(res.Windows) {
+			next = so.MaxWindows - len(res.Windows)
+		}
+		if next > len(unused) {
+			next = len(unused)
+		}
+		if next <= 0 {
+			break
+		}
+		var wave []ffstore.Entry
+		if next == len(unused) {
+			wave, unused = unused, nil
+		} else {
+			picks := make([]int, next)
+			for i := range picks {
+				if next == 1 {
+					picks[i] = len(unused) / 2
 					continue
 				}
-				sel[i] = eligible[(i*(len(eligible)-1))/(so.Windows-1)]
+				picks[i] = (i * (len(unused) - 1)) / (next - 1)
+			}
+			wave = make([]ffstore.Entry, next)
+			for i, p := range picks {
+				wave[i] = unused[p]
+			}
+			for i := len(picks) - 1; i >= 0; i-- {
+				unused = append(unused[:picks[i]], unused[picks[i]+1:]...)
 			}
 		}
-		windows, err := runWave(sel, 0)
+		windows, err := runWave(wave, len(res.Windows))
 		if err != nil {
 			return nil, err
 		}
 		record(windows)
-	} else {
-		// Adaptive mode: waves double the measured window count, each wave
-		// spreading its picks evenly over the entries not yet measured,
-		// until the CI target, the window cap, or reservoir exhaustion.
-		unused := make([]ffstore.Entry, len(eligible))
-		copy(unused, eligible)
-		next := so.Windows
-		for {
-			if next > so.MaxWindows-len(res.Windows) {
-				next = so.MaxWindows - len(res.Windows)
-			}
-			if next > len(unused) {
-				next = len(unused)
-			}
-			if next <= 0 {
-				break
-			}
-			var wave []ffstore.Entry
-			if next == len(unused) {
-				wave, unused = unused, nil
-			} else {
-				picks := make([]int, next)
-				for i := range picks {
-					if next == 1 {
-						picks[i] = len(unused) / 2
-						continue
-					}
-					picks[i] = (i * (len(unused) - 1)) / (next - 1)
-				}
-				wave = make([]ffstore.Entry, next)
-				for i, p := range picks {
-					wave[i] = unused[p]
-				}
-				for i := len(picks) - 1; i >= 0; i-- {
-					unused = append(unused[:picks[i]], unused[picks[i]+1:]...)
-				}
-			}
-			windows, err := runWave(wave, len(res.Windows))
-			if err != nil {
-				return nil, err
-			}
-			record(windows)
-			if ci := pw.CI95(); !math.IsNaN(ci) && ci <= so.TargetCIW {
-				break
-			}
-			next = len(res.Windows)
+		if ci := pw.CI95(); !adaptive || (!math.IsNaN(ci) && ci <= so.TargetCIW) {
+			break
 		}
-		// Waves picked entries out of timeline order; the report reads in
-		// StartCycle order.
-		sort.Slice(res.Windows, func(a, b int) bool {
-			return res.Windows[a].StartCycle < res.Windows[b].StartCycle
-		})
-		for i := range res.Windows {
-			res.Windows[i].Index = i
-		}
+		next = len(res.Windows)
+	}
+	// Later waves pick entries out of timeline order; the report reads in
+	// StartCycle order. The sort is stable, so the first wave, already in
+	// order, keeps it.
+	sort.SliceStable(res.Windows, func(a, b int) bool {
+		return res.Windows[a].StartCycle < res.Windows[b].StartCycle
+	})
+	for i := range res.Windows {
+		res.Windows[i].Index = i
 	}
 
 	res.MeanPowerW = pw.Mean()

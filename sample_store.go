@@ -90,15 +90,7 @@ func encodeSampledResult(r *SampledResult) []byte {
 	w.F64(r.EnergyCI95J)
 	w.F64(r.DiskEnergyJ)
 	w.U64(r.IdleCycles)
-	w.U64(r.DiskStats.Reads)
-	w.U64(r.DiskStats.Writes)
-	w.U64(r.DiskStats.BytesMoved)
-	w.U64(r.DiskStats.Spinups)
-	w.U64(r.DiskStats.Spindowns)
-	w.U32(uint32(len(r.DiskStats.StateCycles)))
-	for _, c := range r.DiskStats.StateCycles {
-		w.U64(c)
-	}
+	r.DiskStats.Encode(&w)
 	w.U32(uint32(len(r.Windows)))
 	for i := range r.Windows {
 		wm := &r.Windows[i]
@@ -134,18 +126,7 @@ func decodeSampledResult(data []byte) (*SampledResult, error) {
 	res.EnergyCI95J = r.F64()
 	res.DiskEnergyJ = r.F64()
 	res.IdleCycles = r.U64()
-	res.DiskStats.Reads = r.U64()
-	res.DiskStats.Writes = r.U64()
-	res.DiskStats.BytesMoved = r.U64()
-	res.DiskStats.Spinups = r.U64()
-	res.DiskStats.Spindowns = r.U64()
-	if n := r.Count(8); n != len(res.DiskStats.StateCycles) && r.Err() == nil {
-		return nil, fmt.Errorf("softwatt: %d disk state counters, want %d",
-			n, len(res.DiskStats.StateCycles))
-	}
-	for i := range res.DiskStats.StateCycles {
-		res.DiskStats.StateCycles[i] = r.U64()
-	}
+	res.DiskStats.Decode(r)
 	n := r.Count(8 + 8 + 8 + 8 + 8) // index, start, cycles, energy, power
 	res.Windows = make([]WindowMeasure, n)
 	for i := range res.Windows {

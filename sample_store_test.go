@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"softwatt/internal/ckpt"
+	"softwatt/internal/core"
 	"softwatt/internal/disk"
 	"softwatt/internal/ffstore"
 	"softwatt/internal/obs"
@@ -170,6 +171,69 @@ func TestSampledResultFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadSampledResultFile(bad); err == nil {
 		t.Error("loaded a non-container file as a sampled result")
+	}
+}
+
+// TestArtifactsRejectBadDiskStats: the run log's DISK section, the FFRS
+// reservoir and the SRES sampled result share one disk-stats codec, and
+// each rejects a block recording any state count but disk.NumStates and a
+// payload that ends inside the block.
+func TestArtifactsRejectBadDiskStats(t *testing.T) {
+	sr := testSampledResult()
+	var good ckpt.Writer
+	sr.DiskStats.Encode(&good)
+	block := good.Bytes()
+	const countAt = 5 * 8 // the state count follows the five activity counters
+
+	run := &core.RunResult{Benchmark: "compress", Core: "mipsy", DiskStats: sr.DiskStats}
+	tagDisk := [4]byte{'D', 'I', 'S', 'K'}
+	res := &ffstore.Reservoir{
+		Benchmark: "compress", Digest: "0123456789abcdef", DiskStats: sr.DiskStats,
+		Entries: []ffstore.Entry{{Cycle: 1, Payload: []byte("machine state")}},
+	}
+	kinds := []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"DISK", block, func(p []byte) error {
+			// The DISK payload goes back into an otherwise valid run log.
+			secs := run.Sections()
+			for i := range secs {
+				if secs[i].Tag == tagDisk {
+					secs[i].Payload = p
+				}
+			}
+			var log bytes.Buffer
+			if err := ckpt.WriteContainer(&log, secs...); err != nil {
+				t.Fatal(err)
+			}
+			_, err := core.LoadResult(log.Bytes())
+			return err
+		}},
+		{"FFRS", res.Encode(), func(p []byte) error { _, err := ffstore.Decode(p); return err }},
+		{"SRES", encodeSampledResult(sr), func(p []byte) error { _, err := decodeSampledResult(p); return err }},
+	}
+	for _, k := range kinds {
+		if err := k.decode(k.payload); err != nil {
+			t.Fatalf("%s: the unmodified payload: %v", k.name, err)
+		}
+		at := bytes.Index(k.payload, block)
+		if at < 0 {
+			t.Fatalf("%s: payload does not carry the disk-stats block", k.name)
+		}
+		for _, n := range []uint32{0, 1, uint32(disk.NumStates) - 1, uint32(disk.NumStates) + 1, 1024} {
+			bad := bytes.Clone(k.payload)
+			binary.LittleEndian.PutUint32(bad[at+countAt:], n)
+			if err := k.decode(bad); err == nil {
+				t.Errorf("%s: accepted a disk-stats block recording %d states", k.name, n)
+			}
+		}
+		for _, cut := range []int{countAt - 1, countAt + 2, len(block) - 1} {
+			if err := k.decode(k.payload[:at+cut]); err == nil {
+				t.Errorf("%s: accepted a payload cut %d bytes into the disk-stats block", k.name, cut)
+			}
+		}
 	}
 }
 
