@@ -223,3 +223,35 @@ func firstDiff(a, b []byte) int {
 	}
 	return n
 }
+
+// ckptPinCycle is the fixed mid-run cycle at which TestCheckpointPins
+// checkpoints compress. Every checkpoint carries disk-image pages (the file
+// store is written into the image at boot) as well as RAM pages, so these
+// pins guard the page codec of both stores, not just the checkpoint's length.
+const ckptPinCycle = 300_000
+
+// ckptPins are the SHA-256 digests of Machine.Checkpoint() for compress at
+// ckptPinCycle, keyed by core. A deliberate change to any checkpointed
+// state's encoding re-pins them from TestCheckpointPins's failure messages.
+var ckptPins = map[string]string{
+	"mipsy": "2f9183a53cb1bf60ef94e40958bb1325034afd0b32dae0341547428071a91599",
+	"mxs":   "b03fb48f5bac960add65ede332b9c6b949e2a7b177cc4f7bf939e07e6d5cd84a",
+	"swift": "66bd15a5f07af6d8390c1d86cd03988639375178a431a9a8325476893da117ac",
+}
+
+func TestCheckpointPins(t *testing.T) {
+	for _, c := range []string{"mipsy", "mxs", "swift"} {
+		t.Run(c, func(t *testing.T) {
+			m, _ := newCkptMachine(t, "compress", c)
+			defer m.Release()
+			m.StepCycles(ckptPinCycle)
+			if m.Halted() {
+				t.Fatalf("compress halted before cycle %d", ckptPinCycle)
+			}
+			sum := sha256.Sum256(m.Checkpoint())
+			if got, want := hex.EncodeToString(sum[:]), ckptPins[c]; got != want {
+				t.Errorf("%s: checkpoint SHA-256 %s, pinned %q", c, got, want)
+			}
+		})
+	}
+}
