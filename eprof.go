@@ -10,6 +10,7 @@ import (
 	"os"
 	"sort"
 
+	"softwatt/internal/core"
 	"softwatt/internal/eprof"
 	"softwatt/internal/kern"
 	"softwatt/internal/obs"
@@ -107,10 +108,11 @@ func WriteEnergyProfileFile(path string, r *RunResult) error {
 var timelineComponents = [5]string{"cpu", "mem", "clock", "disk", "total"}
 
 // timelineExporter builds the machine's OnTimeline hook for one run: each
-// recorded point is converted to per-component and per-mode watts and
-// pushed to the /metrics gauges and the tracer's Perfetto counter tracks.
-// Returns nil when neither sink is active, so the machine records the
-// timeline without any per-point callback cost.
+// recorded point is converted to per-component and per-mode watts by
+// core.TimelinePointRow, the arithmetic swreport's timeline renders with,
+// and pushed to the /metrics gauges and the tracer's Perfetto counter
+// tracks. Returns nil when neither sink is active, so the machine records
+// the timeline without any per-point callback cost.
 func timelineExporter(model *power.Model, clockHz float64, tid int64) func(*trace.TimelinePoint) {
 	tr := obs.ActiveTracer()
 	metricsOn := obs.MetricsEnabled()
@@ -134,29 +136,18 @@ func timelineExporter(model *power.Model, clockHz float64, tid int64) func(*trac
 	}
 	prevDiskJ := 0.0
 	return func(p *trace.TimelinePoint) {
-		sec := float64(p.End-p.Start) / clockHz
-		if sec <= 0 {
+		row, ok := core.TimelinePointRow(model, p, float64(p.Start)/clockHz, float64(p.End)/clockHz, prevDiskJ)
+		if !ok {
 			return
 		}
-		var all trace.Bucket
-		var modeW [trace.NumModes]float64
-		for m := range p.Mode {
-			all.Add(&p.Mode[m])
-			modeW[m] = model.BucketEnergy(&p.Mode[m]).Total / sec
-		}
-		bd := model.BucketEnergy(&all)
-		cpuW := (bd.Datapath + bd.L1I + bd.L1D + bd.L2) / sec
-		memW := bd.Memory / sec
-		clockW := bd.Clock / sec
-		diskW := (p.DiskJ - prevDiskJ) / sec
 		prevDiskJ = p.DiskJ
-		watts := [5]float64{cpuW, memW, clockW, diskW, cpuW + memW + clockW + diskW}
+		watts := [5]float64{row.CPUW, row.MemW, row.ClockW, row.DiskW, row.TotalW}
 		if metricsOn {
 			for i, g := range comp {
 				g.Set(watts[i])
 			}
 			for m, g := range mode {
-				g.Set(modeW[m])
+				g.Set(row.ModeW[m])
 			}
 		}
 		if tr != nil {
@@ -164,7 +155,7 @@ func timelineExporter(model *power.Model, clockHz float64, tid int64) func(*trac
 				tr.Counter(tid, "power "+c+" (W)", watts[i])
 			}
 			for m := trace.Mode(0); m < trace.NumModes; m++ {
-				tr.Counter(tid, "power "+m.String()+" (W)", modeW[m])
+				tr.Counter(tid, "power "+m.String()+" (W)", row.ModeW[m])
 			}
 		}
 	}

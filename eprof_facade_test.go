@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"softwatt/internal/core"
 	"softwatt/internal/kern"
+	"softwatt/internal/obs"
 	"softwatt/internal/power"
 	"softwatt/internal/trace"
 )
@@ -124,5 +126,51 @@ func TestEnergyProfileRejectsSwift(t *testing.T) {
 	_, err := Run("compress", Options{Core: "swift", EnergyProfile: true})
 	if err == nil {
 		t.Fatal("swift has no power model; -eprof must be rejected")
+	}
+}
+
+// TestTimelineCountersMatchRows: the live Perfetto power counters and the
+// swreport timeline come from one computation, so every "power … (W)"
+// counter a traced run emits must equal, exactly, the matching field of
+// the finished result's TimelineRows, point for point.
+func TestTimelineCountersMatchRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulation run skipped in -short mode")
+	}
+	tr := obs.NewTracer()
+	obs.SetTracer(tr)
+	defer obs.SetTracer(nil)
+	r, err := Run("compress", Options{Core: "mipsy", TimelineCycles: 500_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, fromSamples := core.NewEstimator(power.Default()).TimelineRows(r)
+	if fromSamples || len(rows) < 2 {
+		t.Fatalf("run recorded %d timeline rows (from samples: %v), want a recorded timeline", len(rows), fromSamples)
+	}
+	want := map[string][]float64{}
+	for _, row := range rows {
+		for i, w := range []float64{row.CPUW, row.MemW, row.ClockW, row.DiskW, row.TotalW} {
+			name := "power " + timelineComponents[i] + " (W)"
+			want[name] = append(want[name], w)
+		}
+		for m := trace.Mode(0); m < trace.NumModes; m++ {
+			name := "power " + m.String() + " (W)"
+			want[name] = append(want[name], row.ModeW[m])
+		}
+	}
+	got := map[string][]float64{}
+	for _, ev := range tr.Events() {
+		if ev.Ph == "C" {
+			got[ev.Name] = append(got[ev.Name], ev.Args["value"].(float64))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("traced %d power counter series, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if !reflect.DeepEqual(got[name], w) {
+			t.Errorf("%s: counters %v, TimelineRows %v", name, got[name], w)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"softwatt/internal/power"
 	"softwatt/internal/trace"
 )
 
@@ -50,31 +51,44 @@ func (e *Estimator) TimelineRows(r *RunResult) (rows []TimelineRow, fromSamples 
 	prevDiskJ := 0.0
 	for i := range points {
 		p := &points[i]
-		row := TimelineRow{
-			StartSec: e.secondsFor(r, p.Start),
-			EndSec:   e.secondsFor(r, p.End),
-		}
-		sec := row.EndSec - row.StartSec
-		if sec <= 0 {
+		row, ok := TimelinePointRow(e.Model, p, e.secondsFor(r, p.Start), e.secondsFor(r, p.End), prevDiskJ)
+		if !ok {
 			continue
 		}
-		var all trace.Bucket
-		for m := range p.Mode {
-			all.Add(&p.Mode[m])
-			row.ModeW[m] = e.Model.BucketEnergy(&p.Mode[m]).Total / sec
-		}
-		bd := e.Model.BucketEnergy(&all)
-		row.CPUW = (bd.Datapath + bd.L1I + bd.L1D + bd.L2) / sec
-		row.MemW = bd.Memory / sec
-		row.ClockW = bd.Clock / sec
 		if !math.IsNaN(p.DiskJ) {
-			row.DiskW = (p.DiskJ - prevDiskJ) / sec
 			prevDiskJ = p.DiskJ
 		}
-		row.TotalW = row.CPUW + row.MemW + row.ClockW + row.DiskW
 		rows = append(rows, row)
 	}
 	return rows, fromSamples
+}
+
+// TimelinePointRow derives one interval's watts: the point's activity
+// buckets through the power model over [startSec, endSec), and disk watts
+// from the growth of the run's disk energy since prevDiskJ (none when
+// DiskJ is NaN). ok is false for an empty interval. TimelineRows and the
+// live timeline exporter both call it, so the gauges and Perfetto counters
+// read exactly what swreport -timeline renders.
+func TimelinePointRow(model *power.Model, p *trace.TimelinePoint, startSec, endSec, prevDiskJ float64) (row TimelineRow, ok bool) {
+	row = TimelineRow{StartSec: startSec, EndSec: endSec}
+	sec := endSec - startSec
+	if sec <= 0 {
+		return row, false
+	}
+	var all trace.Bucket
+	for m := range p.Mode {
+		all.Add(&p.Mode[m])
+		row.ModeW[m] = model.BucketEnergy(&p.Mode[m]).Total / sec
+	}
+	bd := model.BucketEnergy(&all)
+	row.CPUW = (bd.Datapath + bd.L1I + bd.L1D + bd.L2) / sec
+	row.MemW = bd.Memory / sec
+	row.ClockW = bd.Clock / sec
+	if !math.IsNaN(p.DiskJ) {
+		row.DiskW = (p.DiskJ - prevDiskJ) / sec
+	}
+	row.TotalW = row.CPUW + row.MemW + row.ClockW + row.DiskW
+	return row, true
 }
 
 // RenderTimelineCSV renders the timeline as CSV, one interval per row.

@@ -3,10 +3,10 @@ package disk
 // Checkpoint support (DESIGN.md §13). The disk's restorable state is the
 // power-mode state machine (current mode, integrated energy, scheduled
 // phase queue), the in-flight request and controller flags, the activity
-// statistics, and the written pages of the image. Image pages ride on the
-// written bitmap exactly like RAM rides on its dirty bitmap: the bitmap is
-// a superset of every byte that can differ from zero, and restore copies
-// page contents in place because the machine's DMA path aliases Image().
+// statistics, and the written pages of the image. The image is a mem.RAM,
+// so its pages go through RAM's own codec: the dirty bitmap is a superset
+// of every byte that can differ from zero, and restore copies page
+// contents in place because the machine's DMA path aliases Image().
 // The onComplete callback is wiring, not state: it stays bound to whatever
 // machine owns the disk.
 
@@ -84,29 +84,7 @@ func (d *Disk) EncodeState(w *ckpt.Writer) {
 		w.U64(c)
 	}
 
-	// Written image pages.
-	w.U64(uint64(len(d.image)))
-	var pages uint32
-	for _, word := range d.img.written {
-		for ; word != 0; word &= word - 1 {
-			pages++
-		}
-	}
-	w.U32(pages)
-	for wi, word := range d.img.written {
-		for b := 0; b < 64; b++ {
-			if word&(1<<b) == 0 {
-				continue
-			}
-			off := (wi*64 + b) << imgPageShift
-			end := off + imgPageSize
-			if end > len(d.image) {
-				end = len(d.image)
-			}
-			w.U32(uint32(wi*64 + b))
-			w.Raw(d.image[off:end])
-		}
-	}
+	d.img.EncodeState(w)
 }
 
 // DecodeState restores state written by EncodeState into this disk. The
@@ -166,31 +144,5 @@ func (d *Disk) DecodeState(r *ckpt.Reader) {
 		d.SubmitCycles = append(d.SubmitCycles, r.U64())
 	}
 
-	if size := r.U64(); size != uint64(len(d.image)) {
-		r.Corrupt("disk image size %d does not match machine's %d", size, len(d.image))
-		return
-	}
-	pages := int(r.U32())
-	maxPage := (len(d.image) + imgPageSize - 1) >> imgPageShift
-	for i := 0; i < pages; i++ {
-		p := int(r.U32())
-		if r.Err() != nil {
-			return
-		}
-		if p >= maxPage {
-			r.Corrupt("disk image page %d out of range (max %d)", p, maxPage)
-			return
-		}
-		off := p << imgPageShift
-		end := off + imgPageSize
-		if end > len(d.image) {
-			end = len(d.image)
-		}
-		b := r.Raw(end - off)
-		if b == nil {
-			return
-		}
-		copy(d.image[off:end], b)
-		d.img.written[p>>6] |= 1 << (p & 63)
-	}
+	d.img.DecodeState(r, "disk image")
 }

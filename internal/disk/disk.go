@@ -15,7 +15,8 @@ package disk
 import (
 	"fmt"
 	"math"
-	"sync"
+
+	"softwatt/internal/mem"
 )
 
 // State is the disk operating mode (paper Figure 2).
@@ -168,9 +169,10 @@ type Stats struct {
 
 // Disk is the simulated drive: timing, power-mode state machine, storage.
 type Disk struct {
-	cfg   Config
-	image []byte
-	img   *imgBuf
+	cfg Config
+	// img is the disk image: a pooled, page-tracked store like physical
+	// memory, so recycling, scrubbing and checkpointing it is RAM's code.
+	img *mem.RAM
 
 	state      State
 	stateSince uint64
@@ -194,93 +196,12 @@ type Disk struct {
 	SubmitCycles []uint64
 }
 
-// imgBuf is a disk image plus a written-page bitmap. The bitmap exists
-// only so the recycling pool can re-zero the pages a previous run wrote
-// instead of clearing the whole image: a fresh zeroed image is several
-// megabytes, which dominated short fast-forward runs.
-type imgBuf struct {
-	data    []byte
-	written []uint64 // one bit per 4 KB page
-}
-
-const (
-	imgPageShift = 12
-	imgPageSize  = 1 << imgPageShift
-	imgPoolCap   = 16
-)
-
-// imgPool recycles released disk images by capacity. Capped per size so a
-// wide parallel sweep does not pin an unbounded amount of memory.
-var imgPool struct {
-	sync.Mutex
-	free map[int][]*imgBuf
-}
-
-// newImage returns a zeroed image buffer, recycling a released one of the
-// same capacity when available.
-func newImage(size int) *imgBuf {
-	imgPool.Lock()
-	if l := imgPool.free[size]; len(l) > 0 {
-		b := l[len(l)-1]
-		l[len(l)-1] = nil
-		imgPool.free[size] = l[:len(l)-1]
-		imgPool.Unlock()
-		b.scrub()
-		return b
-	}
-	imgPool.Unlock()
-	pages := (size + imgPageSize - 1) >> imgPageShift
-	return &imgBuf{
-		data:    make([]byte, size),
-		written: make([]uint64, (pages+63)/64),
-	}
-}
-
-// scrub re-zeroes every written page and clears the bitmap, restoring the
-// all-zero state a fresh allocation guarantees.
-func (b *imgBuf) scrub() {
-	for wi, w := range b.written {
-		if w == 0 {
-			continue
-		}
-		for bit := 0; bit < 64; bit++ {
-			if w&(1<<bit) == 0 {
-				continue
-			}
-			off := (wi*64 + bit) << imgPageShift
-			end := off + imgPageSize
-			if end > len(b.data) {
-				end = len(b.data)
-			}
-			clear(b.data[off:end])
-		}
-		b.written[wi] = 0
-	}
-}
-
-// ScrubImage re-zeroes every written page of the disk image and clears
-// the written bitmap, restoring the all-zero state a fresh allocation
-// guarantees. Machine reuse (Recycle + RestoreState) depends on it: a
-// checkpoint only carries the pages written up to the checkpoint, so pages
-// a previous occupant wrote must be zeroed before the restore.
-func (d *Disk) ScrubImage() { d.img.scrub() }
-
-// markWritten records a write of n bytes at off (already bounds-checked
-// against the image length; n clamped by the caller's copy).
-func (b *imgBuf) markWritten(off uint64, n int) {
-	if n <= 0 || off >= uint64(len(b.data)) {
-		return
-	}
-	p := off >> imgPageShift
-	b.written[p>>6] |= 1 << (p & 63)
-	end := off + uint64(n) - 1
-	if last := uint64(len(b.data)) - 1; end > last {
-		end = last
-	}
-	for q := p + 1; q <= end>>imgPageShift; q++ {
-		b.written[q>>6] |= 1 << (q & 63)
-	}
-}
+// ScrubImage re-zeroes every written page of the disk image, restoring the
+// all-zero state a fresh allocation guarantees. Machine reuse (Recycle +
+// RestoreState) depends on it: a checkpoint only carries the pages written
+// up to the checkpoint, so pages a previous occupant wrote must be zeroed
+// before the restore.
+func (d *Disk) ScrubImage() { d.img.Scrub() }
 
 // New creates a disk. onComplete is called at request completion time to
 // perform DMA and raise the interrupt; it may be nil for standalone tests.
@@ -297,11 +218,9 @@ func New(cfg Config, onComplete func(Request)) *Disk {
 	if cfg.CapacityBytes <= 0 {
 		cfg.CapacityBytes = 8 << 20
 	}
-	img := newImage(cfg.CapacityBytes)
 	d := &Disk{
 		cfg:        cfg,
-		img:        img,
-		image:      img.data,
+		img:        mem.NewRAM(cfg.CapacityBytes),
 		onComplete: onComplete,
 	}
 	if cfg.Policy == PolicyConventional {
@@ -316,8 +235,9 @@ func New(cfg Config, onComplete func(Request)) *Disk {
 func (d *Disk) Config() Config { return d.cfg }
 
 // Image exposes the disk's backing store for pre-population by the machine
-// (file-store contents).
-func (d *Disk) Image() []byte { return d.image }
+// (file-store contents). Writers through its Bytes slice must report their
+// ranges via MarkDirty, so the pages are scrubbed and checkpointed.
+func (d *Disk) Image() *mem.RAM { return d.img }
 
 // State returns the current operating mode.
 func (d *Disk) State() State { return d.state }
@@ -412,7 +332,7 @@ func (d *Disk) Submit(cycle uint64, req Request) (uint64, error) {
 	// 32 bits, letting a hostile request pass a narrower check and panic
 	// the host on the image slice.
 	end := (uint64(req.Sector) + uint64(req.Count)) * SectorSize
-	if req.Count == 0 || end > uint64(len(d.image)) {
+	if req.Count == 0 || end > uint64(d.img.Size()) {
 		return 0, fmt.Errorf("disk: request out of range (sector %d count %d)", req.Sector, req.Count)
 	}
 	d.cancelScheduledSpindown()
@@ -447,7 +367,7 @@ func (d *Disk) Submit(cycle uint64, req Request) (uint64, error) {
 		dist = -dist
 	}
 	d.lastCyl = cyl
-	maxCyl := float64(len(d.image) / SectorSize / sectorsPerCyl)
+	maxCyl := float64(d.img.Size() / SectorSize / sectorsPerCyl)
 	if maxCyl < 1 {
 		maxCyl = 1
 	}
@@ -542,39 +462,22 @@ func (d *Disk) cancelScheduledSpindown() {
 // valid-looking slice index.
 func (d *Disk) Read(sector uint32, buf []byte) {
 	off := uint64(sector) * SectorSize
-	if off >= uint64(len(d.image)) {
-		return
+	if img := d.img.Bytes(); off < uint64(len(img)) {
+		copy(buf, img[off:])
 	}
-	copy(buf, d.image[off:])
 }
 
 // Write copies data into the disk image. Out-of-range sectors are ignored.
 func (d *Disk) Write(sector uint32, buf []byte) {
 	off := uint64(sector) * SectorSize
-	if off >= uint64(len(d.image)) {
-		return
+	if img := d.img.Bytes(); off < uint64(len(img)) {
+		d.img.MarkDirty(off, copy(img[off:], buf))
 	}
-	n := copy(d.image[off:], buf)
-	d.img.markWritten(off, n)
 }
-
-// MarkWritten records that [off, off+n) of the image was populated through
-// the raw Image() slice (the machine's file-store build), so a recycled
-// buffer scrubs those pages too.
-func (d *Disk) MarkWritten(off uint64, n int) { d.img.markWritten(off, n) }
 
 // Release returns the image to the recycling pool. The disk (and anything
 // holding its Image) must not be used afterwards.
-func (d *Disk) Release() {
-	imgPool.Lock()
-	defer imgPool.Unlock()
-	if imgPool.free == nil {
-		imgPool.free = make(map[int][]*imgBuf)
-	}
-	if len(imgPool.free[len(d.img.data)]) < imgPoolCap {
-		imgPool.free[len(d.img.data)] = append(imgPool.free[len(d.img.data)], d.img)
-	}
-}
+func (d *Disk) Release() { d.img.Release() }
 
 // FinishEnergy integrates energy through endCycle and returns the total.
 // Call once at the end of simulation.

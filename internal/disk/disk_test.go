@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -187,7 +188,7 @@ func TestSubmitErrors(t *testing.T) {
 	if _, err := d.Submit(0, Request{Sector: 0, Count: 0}); err == nil {
 		t.Fatal("zero-count accepted")
 	}
-	huge := uint32(len(d.Image())/SectorSize) + 1
+	huge := uint32(d.Image().Size()/SectorSize) + 1
 	if _, err := d.Submit(0, Request{Sector: huge, Count: 1}); err == nil {
 		t.Fatal("out-of-range accepted")
 	}
@@ -290,7 +291,7 @@ func TestSubmitOffsetOverflowRejected(t *testing.T) {
 		}
 	}
 	// A legitimate full-range request still works.
-	if _, err := d.Submit(0, Request{Sector: 0, Count: uint32(len(d.Image()) / SectorSize)}); err != nil {
+	if _, err := d.Submit(0, Request{Sector: 0, Count: uint32(d.Image().Size() / SectorSize)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -302,6 +303,46 @@ func TestReadWriteOutOfRangeNoPanic(t *testing.T) {
 	buf := make([]byte, SectorSize)
 	d.Read(math.MaxUint32, buf) // wrapped to a small offset before the fix
 	d.Write(math.MaxUint32, buf)
-	d.Read(uint32(len(d.Image())/SectorSize), buf)
-	d.Write(uint32(len(d.Image())/SectorSize), buf)
+	d.Read(uint32(d.Image().Size()/SectorSize), buf)
+	d.Write(uint32(d.Image().Size()/SectorSize), buf)
+}
+
+// TestImageScrubAndPoolReuse: a recycled image must read as freshly
+// built. A boot-style file store is written through Image and marked, and
+// sectors past it through Write; ScrubImage must zero every byte, and so
+// must the pool when a released image is handed to the next disk of its
+// capacity.
+func TestImageScrubAndPoolReuse(t *testing.T) {
+	c := DefaultConfig()
+	c.CapacityBytes = 3<<20 + 5*SectorSize // pooled by no other test; short last page
+	fill := func(d *Disk) {
+		img := d.Image()
+		n := copy(img.Bytes(), bytes.Repeat([]byte{0xA5}, 3*4096+100))
+		img.MarkDirty(0, n)
+		buf := bytes.Repeat([]byte{0x5A}, 4*SectorSize)
+		for _, s := range []uint32{40, 1000, 4097, uint32(c.CapacityBytes/SectorSize) - 2} {
+			d.Write(s, buf)
+		}
+	}
+	allZero := func(when string, d *Disk) {
+		t.Helper()
+		for i, b := range d.Image().Bytes() {
+			if b != 0 {
+				t.Fatalf("%s: image byte %#x = %#x", when, i, b)
+			}
+		}
+	}
+	d := New(c, nil)
+	fill(d)
+	d.ScrubImage()
+	allZero("after ScrubImage", d)
+
+	fill(d)
+	img := d.Image()
+	d.Release()
+	d = New(c, nil)
+	if d.Image() != img {
+		t.Fatal("released image not reused by the next disk of its capacity")
+	}
+	allZero("re-acquired from the pool", d)
 }

@@ -181,7 +181,7 @@ func (m *Machine) RestoreState(data []byte) error {
 		return err
 	}
 	m.cpu.Restore(snap)
-	m.ram.DecodeState(r)
+	m.ram.DecodeState(r, "RAM")
 	m.hier.DecodeState(r)
 	m.col.DecodeState(r)
 	m.dsk.DecodeState(r)

@@ -270,11 +270,12 @@ func New(cfg Config, w Workload) (*Machine, error) {
 	m.ram.LoadSegment(kern.PhysBootInfo, kern.EncodeBootInfo(bi))
 
 	// Disk contents (the file store).
-	n, err := kern.BuildDiskImage(m.dsk.Image(), w.Files)
+	img := m.dsk.Image()
+	n, err := kern.BuildDiskImage(img.Bytes(), w.Files)
 	if err != nil {
 		return nil, err
 	}
-	m.dsk.MarkWritten(0, n)
+	img.MarkDirty(0, n)
 
 	m.cpu = arch.New(m)
 	// The code cache covers all of RAM below the MMIO window, where direct
@@ -377,14 +378,8 @@ func (m *Machine) Collector() *trace.Collector { return m.col }
 // Disk exposes the disk (for energy and policy statistics).
 func (m *Machine) Disk() *disk.Disk { return m.dsk }
 
-// Hierarchy exposes the cache hierarchy.
-func (m *Machine) Hierarchy() *mem.Hierarchy { return m.hier }
-
 // CPU exposes the functional core (tests and diagnostics).
 func (m *Machine) CPU() *arch.CPU { return m.cpu }
-
-// Kernel exposes the assembled kernel image.
-func (m *Machine) Kernel() *kern.Image { return m.kimg }
 
 // Console returns everything the kernel and workload wrote to the console.
 func (m *Machine) Console() string { return m.console.String() }
@@ -860,7 +855,7 @@ func (m *Machine) diskComplete(req disk.Request) {
 		// DMA writes RAM behind the CPU's back: drop any cached code in
 		// the landing zone and record the dirtied pages.
 		m.cpu.InvalidateCode(req.DMAAddr, n)
-		m.ram.MarkDirty(req.DMAAddr, n)
+		m.ram.MarkDirty(uint64(req.DMAAddr), n)
 	}
 	m.cpu.SetIRQ(isa.IntDisk, true)
 }

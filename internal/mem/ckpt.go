@@ -2,14 +2,15 @@ package mem
 
 // Checkpoint support (DESIGN.md §13).
 //
-// RAM rides on the dirty-page bitmap: pages start zero and every write path
-// marks the pages it touches, so the dirty set is a superset of every byte
-// that can differ from zero. A checkpoint therefore stores only the dirty
-// pages; restoring them onto a freshly built machine (whose own boot writes
-// marked a subset of the same pages, the boot being deterministic)
-// reproduces the full byte image. Restore copies page contents IN PLACE —
-// the swift core and the disk DMA path cache the Bytes() slice, so the
-// backing array must never be reallocated.
+// A RAM store (physical memory or the disk image) rides on its dirty-page
+// bitmap: pages start zero and every write path marks the pages it
+// touches, so the dirty set is a superset of every byte that can differ
+// from zero. A checkpoint therefore stores only the dirty pages; restoring
+// them onto a freshly built machine (whose own boot writes marked a subset
+// of the same pages, the boot being deterministic) reproduces the full
+// byte image. Restore copies page contents IN PLACE — the swift core and
+// the disk DMA path cache the Bytes() slice, so the backing array must
+// never be reallocated.
 //
 // Caches serialise their full tag/LRU/counter state: tags decide future
 // hits and misses, which feed both timing and the power model's structure
@@ -17,7 +18,9 @@ package mem
 
 import "softwatt/internal/ckpt"
 
-// EncodeState serialises the RAM's dirty pages.
+// EncodeState serialises the store's dirty pages: the store size, the page
+// count, then each page as its index and raw contents (the last page of a
+// store whose size is not a page multiple is short).
 func (r *RAM) EncodeState(w *ckpt.Writer) {
 	w.U64(uint64(len(r.data)))
 	var pages uint32
@@ -33,45 +36,51 @@ func (r *RAM) EncodeState(w *ckpt.Writer) {
 				continue
 			}
 			off := (wi*64 + b) << ramPageShift
-			end := off + ramPageSize
-			if end > len(r.data) {
-				end = len(r.data)
-			}
 			w.U32(uint32(wi*64 + b))
-			w.Raw(r.data[off:end])
+			w.Raw(r.data[off:min(off+ramPageSize, len(r.data))])
 		}
 	}
 }
 
 // DecodeState restores dirty-page contents written by EncodeState into the
-// existing backing store, marking each restored page dirty. The RAM must
-// have the same size as the encoded one.
-func (r *RAM) DecodeState(rd *ckpt.Reader) {
-	if size := rd.U64(); size != uint64(len(r.data)) {
-		rd.Corrupt("RAM size %d does not match machine's %d", size, len(r.data))
+// existing backing store, marking each restored page dirty. The store must
+// have the encoded size. Every error names the store ("RAM", "disk image")
+// so a corrupt checkpoint says which of its page sets is bad.
+func (r *RAM) DecodeState(rd *ckpt.Reader, store string) {
+	if size := rd.U64(); rd.Err() == nil && size != uint64(len(r.data)) {
+		rd.Corrupt("%s size %d does not match machine's %d", store, size, len(r.data))
 		return
 	}
-	pages := int(rd.U32())
+	pages := rd.U32()
 	maxPage := (len(r.data) + ramPageSize - 1) >> ramPageShift
-	for i := 0; i < pages; i++ {
-		p := int(rd.U32())
-		if rd.Err() != nil {
+	switch {
+	case rd.Err() != nil:
+		return
+	case uint64(pages) > uint64(maxPage):
+		rd.Corrupt("%s page count %d exceeds its %d pages", store, pages, maxPage)
+		return
+	case uint64(pages) > uint64(rd.Remaining()/(4+ramPageSize))+1:
+		// Every page but a short last one takes 4+ramPageSize bytes.
+		rd.Corrupt("%s truncated: %d pages do not fit in %d bytes", store, pages, rd.Remaining())
+		return
+	}
+	for i := 0; i < int(pages); i++ {
+		if rd.Remaining() < 4 {
+			rd.Corrupt("%s truncated at page %d of %d", store, i, pages)
 			return
 		}
-		if p >= maxPage {
-			rd.Corrupt("RAM page index %d out of range (max %d)", p, maxPage)
+		p := rd.U32()
+		if uint64(p) >= uint64(maxPage) {
+			rd.Corrupt("%s page %d out of range (max %d)", store, p, maxPage)
 			return
 		}
-		off := p << ramPageShift
-		end := off + ramPageSize
-		if end > len(r.data) {
-			end = len(r.data)
-		}
-		b := rd.Raw(end - off)
-		if b == nil {
+		off := int(p) << ramPageShift
+		end := min(off+ramPageSize, len(r.data))
+		if rd.Remaining() < end-off {
+			rd.Corrupt("%s truncated at page %d of %d", store, i, pages)
 			return
 		}
-		copy(r.data[off:end], b)
+		copy(r.data[off:end], rd.Raw(end-off))
 		r.dirty[p>>6] |= 1 << (p & 63)
 	}
 }

@@ -5,23 +5,28 @@ import (
 	"sync"
 )
 
-// Dirty-page tracking granularity. Every path that writes RAM marks the
-// touched 4 KB pages; a released buffer is recycled by re-zeroing only the
-// dirty pages, which is far cheaper than clearing (or faulting in) a fresh
-// 128 MB allocation per simulation in batch sweeps.
+// Dirty-page tracking granularity. Every path that writes a store marks
+// the touched 4 KB pages; a released buffer is recycled by re-zeroing only
+// the dirty pages, which is far cheaper than clearing (or faulting in) a
+// fresh 128 MB allocation per simulation in batch sweeps, and a checkpoint
+// carries only the dirty pages.
 const (
 	ramPageShift = 12
 	ramPageSize  = 1 << ramPageShift
 )
 
-// RAM is the flat little-endian physical memory. It implements the data
-// side of arch.Bus; the machine wraps it with MMIO dispatch for device
-// addresses.
+// RAM is a pooled, zero-initialised, page-tracked byte store. The machine's
+// flat little-endian physical memory is one (it implements the data side
+// of arch.Bus; the machine wraps it with MMIO dispatch for device
+// addresses), and the disk's image is another: both are recycled through
+// one pool, scrubbed back to zero through one dirty bitmap and
+// checkpointed as the pages that differ from boot by one codec.
 type RAM struct {
 	data []byte
 	// dirty has one bit per 4 KB page, set by every write path (Write,
-	// LoadSegment, and DMA via MarkDirty). Only used to scrub recycled
-	// buffers; never consulted on reads.
+	// MarkDirtyPage, and LoadSegment, DMA and disk writes via MarkDirty).
+	// Used to scrub recycled buffers and to select checkpoint pages;
+	// never consulted on reads.
 	dirty []uint64
 }
 
@@ -34,7 +39,7 @@ var ramPool struct {
 
 const ramPoolCap = 16
 
-// NewRAM returns size bytes of zeroed physical memory, recycling a released
+// NewRAM returns a zeroed store of size bytes, recycling a released
 // buffer of the same size when one is available.
 func NewRAM(size int) *RAM {
 	ramPool.Lock()
@@ -43,7 +48,7 @@ func NewRAM(size int) *RAM {
 		l[len(l)-1] = nil
 		ramPool.free[size] = l[:len(l)-1]
 		ramPool.Unlock()
-		r.scrub()
+		r.Scrub()
 		return r
 	}
 	ramPool.Unlock()
@@ -72,11 +77,7 @@ func (r *RAM) Release() {
 // RestoreState) depends on it: a checkpoint only carries pages the
 // checkpointed run touched, so pages a previous occupant dirtied must be
 // zeroed before the restore.
-func (r *RAM) Scrub() { r.scrub() }
-
-// scrub re-zeroes every dirty page and clears the dirty map, restoring the
-// all-zero state a fresh allocation guarantees.
-func (r *RAM) scrub() {
+func (r *RAM) Scrub() {
 	for wi, w := range r.dirty {
 		if w == 0 {
 			continue
@@ -86,11 +87,7 @@ func (r *RAM) scrub() {
 				continue
 			}
 			off := (wi*64 + b) << ramPageShift
-			end := off + ramPageSize
-			if end > len(r.data) {
-				end = len(r.data)
-			}
-			clear(r.data[off:end])
+			clear(r.data[off:min(off+ramPageSize, len(r.data))])
 		}
 		r.dirty[wi] = 0
 	}
@@ -125,25 +122,27 @@ func (r *RAM) markDirty(pa uint32, size int) {
 	}
 }
 
-// MarkDirty records an external write of n bytes at pa — used by DMA, which
-// writes through the Bytes slice rather than Write. Only pages that exist
-// are marked: the end page is clamped to the last page of memory, and the
-// range arithmetic is done in uint64 so a wrapping pa+n (or n == 0) cannot
-// walk the ~2³²>>pageShift nonexistent pages or index past the bitmap.
-func (r *RAM) MarkDirty(pa uint32, n int) {
-	if n <= 0 || uint64(pa) >= uint64(len(r.data)) {
+// MarkDirty records an external write of n bytes at off — used by
+// LoadSegment, by DMA, which writes RAM through the Bytes slice, and by
+// the disk, whose sector offsets exceed 32 bits. Only pages that exist are
+// marked: off is bounds-checked before any page index is taken, the end
+// page is clamped to the last page of the store, and the range arithmetic
+// is done in uint64 so a wrapping off+n (or n == 0) cannot walk nonexistent
+// pages or index past the bitmap.
+func (r *RAM) MarkDirty(off uint64, n int) {
+	if n <= 0 || off >= uint64(len(r.data)) {
 		return
 	}
-	end := uint64(pa) + uint64(n) - 1
+	end := off + uint64(n) - 1
 	if last := uint64(len(r.data)) - 1; end > last {
 		end = last
 	}
-	for p, q := pa>>ramPageShift, uint32(end>>ramPageShift); p <= q; p++ {
+	for p := off >> ramPageShift; p <= end>>ramPageShift; p++ {
 		r.dirty[p>>6] |= 1 << (p & 63)
 	}
 }
 
-// Size returns the memory size in bytes.
+// Size returns the store's size in bytes.
 func (r *RAM) Size() int { return len(r.data) }
 
 // Bytes exposes the backing store (used by loaders and DMA). Writers must
@@ -200,5 +199,5 @@ func (r *RAM) LoadSegment(pa uint32, data []byte) {
 		return
 	}
 	n := copy(r.data[pa:], data)
-	r.MarkDirty(pa, n)
+	r.MarkDirty(uint64(pa), n)
 }

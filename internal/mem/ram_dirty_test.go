@@ -26,18 +26,18 @@ func dirtyPages(r *RAM) map[uint32]bool {
 }
 
 // expectPages computes, independently of the implementation, the pages an
-// n-byte write at pa actually touches: bytes land in [pa, pa+n) clamped to
-// the backing store, so only those pages need (or may) be marked.
-func expectPages(size int, pa uint32, n int) map[uint32]bool {
+// n-byte write at off actually touches: bytes land in [off, off+n) clamped
+// to the backing store, so only those pages need (or may) be marked.
+func expectPages(size int, off uint64, n int) map[uint32]bool {
 	want := map[uint32]bool{}
-	if n <= 0 || uint64(pa) >= uint64(size) {
+	if n <= 0 || off >= uint64(size) {
 		return want
 	}
-	end := uint64(pa) + uint64(n) - 1
+	end := off + uint64(n) - 1
 	if last := uint64(size) - 1; end > last {
 		end = last
 	}
-	for p := uint64(pa) >> ramPageShift; p <= end>>ramPageShift; p++ {
+	for p := off >> ramPageShift; p <= end>>ramPageShift; p++ {
 		want[uint32(p)] = true
 	}
 	return want
@@ -76,8 +76,8 @@ func TestMarkDirtyZeroAndWrap(t *testing.T) {
 	}
 	for _, tc := range cases {
 		r := &RAM{data: make([]byte, size), dirty: make([]uint64, (size>>ramPageShift+63)/64)}
-		r.MarkDirty(tc.pa, tc.n)
-		samePages(t, dirtyPages(r), expectPages(size, tc.pa, tc.n), tc.name)
+		r.MarkDirty(uint64(tc.pa), tc.n)
+		samePages(t, dirtyPages(r), expectPages(size, uint64(tc.pa), tc.n), tc.name)
 	}
 }
 
@@ -100,7 +100,7 @@ func TestMarkDirtyInternalZeroAndWrap(t *testing.T) {
 	for _, tc := range cases {
 		r := &RAM{data: make([]byte, size), dirty: make([]uint64, (size>>ramPageShift+63)/64)}
 		r.markDirty(tc.pa, tc.n)
-		samePages(t, dirtyPages(r), expectPages(size, tc.pa, tc.n), tc.name)
+		samePages(t, dirtyPages(r), expectPages(size, uint64(tc.pa), tc.n), tc.name)
 	}
 }
 
@@ -156,8 +156,8 @@ func TestDirtyMarkingProperty(t *testing.T) {
 			n = rng.Intn(1 << 18)
 		}
 		r := &RAM{data: make([]byte, size), dirty: make([]uint64, (size>>ramPageShift+63)/64)}
-		r.MarkDirty(pa, n)
-		samePages(t, dirtyPages(r), expectPages(size, pa, n), "property")
+		r.MarkDirty(uint64(pa), n)
+		samePages(t, dirtyPages(r), expectPages(size, uint64(pa), n), "property")
 	}
 }
 
@@ -188,10 +188,10 @@ func TestScrubAfterDirtyMarking(t *testing.T) {
 			for j := uint64(pa); j < end; j++ {
 				r.Bytes()[j] = 0x5A
 			}
-			r.MarkDirty(pa, n)
+			r.MarkDirty(uint64(pa), n)
 		}
 	}
-	r.scrub()
+	r.Scrub()
 	for i, b := range r.data {
 		if b != 0 {
 			t.Fatalf("byte %#x = %#x after scrub: its page was never marked dirty", i, b)
@@ -199,21 +199,24 @@ func TestScrubAfterDirtyMarking(t *testing.T) {
 	}
 }
 
-// FuzzMarkDirty lets the fuzzer explore the pa/n space; the oracle is the
-// same brute-force page set used by the property test.
+// FuzzMarkDirty lets the fuzzer explore the off/n space, including the
+// 64-bit offsets a disk sector number reaches; the oracle is the same
+// brute-force page set used by the property test.
 func FuzzMarkDirty(f *testing.F) {
-	f.Add(uint32(0), int64(0))
-	f.Add(uint32(0), int64(1<<31))
-	f.Add(uint32(0xFFFF_F000), int64(0x2000))
-	f.Add(uint32(1<<20-1), int64(2))
-	f.Fuzz(func(t *testing.T, pa uint32, n64 int64) {
+	f.Add(uint64(0), int64(0))
+	f.Add(uint64(0), int64(1<<31))
+	f.Add(uint64(0xFFFF_F000), int64(0x2000))
+	f.Add(uint64(1<<20-1), int64(2))
+	f.Add(uint64(1)<<41-512, int64(1<<41))
+	f.Add(^uint64(0), int64(2))
+	f.Fuzz(func(t *testing.T, off uint64, n64 int64) {
 		const size = 1 << 18
 		n := int(n64)
 		if int64(n) != n64 { // keep 32-bit hosts honest
 			n = int(n64 >> 32)
 		}
 		r := &RAM{data: make([]byte, size), dirty: make([]uint64, (size>>ramPageShift+63)/64)}
-		r.MarkDirty(pa, n)
-		samePages(t, dirtyPages(r), expectPages(size, pa, n), "fuzz")
+		r.MarkDirty(off, n)
+		samePages(t, dirtyPages(r), expectPages(size, off, n), "fuzz")
 	})
 }

@@ -1,15 +1,11 @@
-// Package stats provides small statistics helpers used throughout the
-// simulator: streaming mean/variance aggregates (Welford), counters keyed by
-// name, and fixed-bucket histograms. The coefficient-of-deviation support
-// backs the paper's Table 5 (per-invocation energy variation of kernel
-// services).
+// Package stats provides the simulator's streaming mean/variance aggregate
+// (Welford) and its snapshot form for saved artifacts. The
+// coefficient-of-deviation support backs the paper's Table 5
+// (per-invocation energy variation of kernel services), and the 95%
+// confidence interval backs sampled simulation's stopping rule.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Welford accumulates a stream of float64 observations and reports mean,
 // variance, standard deviation, and coefficient of deviation without storing
@@ -150,118 +146,4 @@ func (w *Welford) State() WelfordState {
 // WelfordFromState reconstructs an aggregate from a snapshot.
 func WelfordFromState(s WelfordState) Welford {
 	return Welford{n: s.N, mean: s.Mean, m2: s.M2, min: s.Min, max: s.Max}
-}
-
-// CounterSet is a map of named uint64 counters with deterministic
-// iteration. The zero value is ready to use, like the other aggregates in
-// this package: the backing map is allocated on first Add.
-type CounterSet struct {
-	m map[string]uint64
-}
-
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet { return &CounterSet{m: make(map[string]uint64)} }
-
-// Add increments counter name by delta.
-func (c *CounterSet) Add(name string, delta uint64) {
-	if c.m == nil {
-		c.m = make(map[string]uint64)
-	}
-	c.m[name] += delta
-}
-
-// Get returns the value of counter name (0 if never touched).
-func (c *CounterSet) Get(name string) uint64 { return c.m[name] }
-
-// Names returns the counter names in sorted order.
-func (c *CounterSet) Names() []string {
-	names := make([]string, 0, len(c.m))
-	for k := range c.m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Reset zeroes every counter.
-func (c *CounterSet) Reset() {
-	for k := range c.m {
-		delete(c.m, k)
-	}
-}
-
-// String renders the counters one per line, sorted by name.
-func (c *CounterSet) String() string {
-	s := ""
-	for _, n := range c.Names() {
-		s += fmt.Sprintf("%s=%d\n", n, c.m[n])
-	}
-	return s
-}
-
-// Histogram is a fixed-width bucket histogram over [0, width*len(buckets)).
-// Values past the last bucket land in the overflow bucket.
-type Histogram struct {
-	width    float64
-	buckets  []uint64
-	overflow uint64
-	count    uint64
-	sum      float64
-}
-
-// NewHistogram creates a histogram with n buckets of the given width.
-func NewHistogram(n int, width float64) *Histogram {
-	if n <= 0 || width <= 0 {
-		panic("stats: histogram needs n > 0 and width > 0")
-	}
-	return &Histogram{width: width, buckets: make([]uint64, n)}
-}
-
-// Add records one value.
-func (h *Histogram) Add(v float64) {
-	h.count++
-	h.sum += v
-	if v < 0 {
-		v = 0
-	}
-	i := int(v / h.width)
-	if i >= len(h.buckets) {
-		h.overflow++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Count returns the number of recorded values.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the mean of recorded values.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Overflow returns the count of values past the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
-// Percentile returns an approximate p-quantile (0..1) using bucket lower
-// edges. Overflowed values report the upper histogram edge.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(p * float64(h.count))
-	var cum uint64
-	for i, b := range h.buckets {
-		cum += b
-		if cum > target {
-			return float64(i) * h.width
-		}
-	}
-	return float64(len(h.buckets)) * h.width
 }

@@ -137,76 +137,6 @@ func TestWelfordCI95(t *testing.T) {
 	}
 }
 
-func TestCounterSet(t *testing.T) {
-	c := NewCounterSet()
-	c.Add("b", 2)
-	c.Add("a", 1)
-	c.Add("b", 3)
-	if c.Get("b") != 5 || c.Get("a") != 1 || c.Get("zz") != 0 {
-		t.Fatal("counter values wrong")
-	}
-	names := c.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names %v", names)
-	}
-	if c.String() == "" {
-		t.Fatal("empty render")
-	}
-	c.Reset()
-	if c.Get("b") != 0 || len(c.Names()) != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestCounterSetZeroValue(t *testing.T) {
-	// The zero value must be usable like the package's other aggregates:
-	// Add used to panic on the nil map.
-	var c CounterSet
-	if c.Get("x") != 0 || len(c.Names()) != 0 || c.String() != "" {
-		t.Fatal("zero-value reads wrong")
-	}
-	c.Add("x", 3)
-	c.Add("x", 4)
-	if c.Get("x") != 7 {
-		t.Fatalf("x = %d, want 7", c.Get("x"))
-	}
-	var embedded struct{ C CounterSet }
-	embedded.C.Add("y", 1)
-	if embedded.C.Get("y") != 1 {
-		t.Fatal("embedded zero value unusable")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 1.0)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(100) // overflow
-	h.Add(-3)  // clamps to bucket 0
-	if h.Count() != 12 || h.Overflow() != 1 {
-		t.Fatalf("count=%d overflow=%d", h.Count(), h.Overflow())
-	}
-	if h.Bucket(0) != 2 || h.Bucket(9) != 1 {
-		t.Fatalf("buckets %d %d", h.Bucket(0), h.Bucket(9))
-	}
-	if p := h.Percentile(0.5); p < 4 || p > 7 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if h.Mean() == 0 {
-		t.Fatal("mean zero")
-	}
-}
-
-func TestHistogramPanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewHistogram(0, 1)
-}
-
 // TestWelfordStateRoundTrip: the exported snapshot must reconstruct an
 // aggregate that behaves identically — same moments, same extrema, and
 // identical results when merged (the Table 5 save/load requirement).

@@ -281,9 +281,6 @@ func (c *Collector) SetEnergySink(ep EnergySink, shift uint32) {
 	c.epPC, c.epASID = 0, 0
 }
 
-// EnergySinkShift returns the installed sink's PC bucket shift.
-func (c *Collector) EnergySinkShift() uint32 { return c.epShift }
-
 // epFlush hands every pending profiler batch to the sink under its key
 // and folds it into the open window bucket (the hot paths route counts
 // into the pend cache instead of cur while a sink is installed). Slot

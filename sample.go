@@ -61,13 +61,11 @@ type SampleOptions struct {
 	// With TargetCIW set it is the first wave's size instead.
 	Windows int
 	// WindowCycles is the detailed-simulation length of each window
-	// (default 200000 cycles — ten statistics windows).
+	// (default 200000 cycles — ten statistics windows). Each window is
+	// preceded by WindowCycles/2 cycles of detailed warmup, which
+	// repopulate the caches and predictors the fast-forward checkpoint
+	// cannot carry (swift models neither).
 	WindowCycles uint64
-	// WarmupCycles is simulated in detail before each window's measurement
-	// begins, repopulating the caches and predictors the fast-forward
-	// checkpoint cannot carry (swift models neither). Defaults to
-	// WindowCycles/2; set negative to disable (measure cold).
-	WarmupCycles int64
 	// Workers bounds how many detailed windows simulate concurrently;
 	// zero or negative uses GOMAXPROCS.
 	Workers int
@@ -112,9 +110,6 @@ func (so SampleOptions) resolve() (SampleOptions, int) {
 	if so.WindowCycles == 0 {
 		so.WindowCycles = 200_000
 	}
-	if so.WarmupCycles == 0 {
-		so.WarmupCycles = int64(so.WindowCycles / 2)
-	}
 	if so.MaxWindows <= 0 {
 		so.MaxWindows = 32
 	}
@@ -132,14 +127,6 @@ func (so SampleOptions) resolve() (SampleOptions, int) {
 		capacity = 2
 	}
 	return so, capacity
-}
-
-// warmup returns the effective detailed warmup length in cycles.
-func (so SampleOptions) warmup() uint64 {
-	if so.WarmupCycles > 0 {
-		return uint64(so.WarmupCycles)
-	}
-	return 0
 }
 
 // WindowMeasure is one detailed measurement window of a sampled run.
@@ -349,7 +336,7 @@ func runSampledWorkload(benchmark string, w machine.Workload, opt Options, so Sa
 		return nil, err
 	}
 	so, capacity := so.resolve()
-	warmup := so.warmup()
+	warmup := so.WindowCycles / 2
 	adaptive := so.TargetCIW > 0
 
 	// Phase 1: the fast-forward pass, or its cached outcome.

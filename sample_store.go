@@ -40,7 +40,7 @@ func sampledDigest(benchmark string, cfg machine.Config, so SampleOptions) strin
 	entries = append(entries,
 		trace.ConfigEntry{Key: "sample.windows", Value: strconv.Itoa(so.Windows)},
 		trace.ConfigEntry{Key: "sample.window_cycles", Value: strconv.FormatUint(so.WindowCycles, 10)},
-		trace.ConfigEntry{Key: "sample.warmup_cycles", Value: strconv.FormatUint(so.warmup(), 10)},
+		trace.ConfigEntry{Key: "sample.warmup_cycles", Value: strconv.FormatUint(so.WindowCycles/2, 10)},
 		trace.ConfigEntry{Key: "sample.ci_target", Value: strconv.FormatFloat(so.TargetCIW, 'g', -1, 64)},
 		trace.ConfigEntry{Key: "sample.max_windows", Value: strconv.Itoa(maxw)},
 		trace.ConfigEntry{Key: "sample.reservoir_entries", Value: strconv.Itoa(capacity)},

@@ -240,7 +240,7 @@ func run(benchmark string, opt Options, tid int64) (*RunResult, error) {
 			m.SetEnergyProfiler(ep, ep.Shift())
 		}
 		if cfg.TimelineCycles > 0 {
-			m.OnTimeline = timelineExporter(model, cfg.ClockHz, tid)
+			m.OnTimeline = timelineExporter(model, m.Config().ClockHz, tid)
 		}
 	}
 	wire(m)
