@@ -1,6 +1,6 @@
 package softwatt
 
-// Robustness of the artifact store (internal/store) over all four kinds it
+// Robustness of the artifact store (internal/store) over all three kinds it
 // holds, each exercised through the decoder its production call site
 // uses. The required outcome is always the right answer or a clean error,
 // never a wrong answer: truncated files never load, a file planted under
@@ -15,13 +15,10 @@ import (
 	"sync"
 	"testing"
 
-	"softwatt/internal/ckpt"
 	"softwatt/internal/ffstore"
-	"softwatt/internal/machine"
 	"softwatt/internal/obs"
 	"softwatt/internal/store"
 	"softwatt/internal/trace"
-	"softwatt/internal/workload"
 )
 
 // storeCase is one artifact kind under test. Artifacts exist in two keys
@@ -51,39 +48,6 @@ func storeCases(t *testing.T) []storeCase {
 		}
 		r.Samples[1].Start, r.Samples[1].End = 20000, 40000
 		return r
-	}
-
-	// Checkpoints: the key is the machine configuration, checked inside
-	// by RestoreState; the variant is the cycle the checkpoint was taken.
-	var cfgs [2]machine.Config
-	var ckptNames [2]string
-	for k, pol := range []string{"conventional", "idle"} {
-		cfg, err := Options{Core: "mipsy", DiskPolicy: pol}.MachineConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgs[k] = cfg
-		ckptNames[k] = CheckpointFileName(bench, cfg)
-	}
-	w, err := workload.Build(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newMachine := func(key int) *machine.Machine {
-		m, err := machine.New(cfgs[key], w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	var ckpts [2][2][]byte
-	for k := range ckpts {
-		for v := range ckpts[k] {
-			m := newMachine(k)
-			m.StepCycles(uint64(1000 * (v + 1)))
-			ckpts[k][v] = m.Checkpoint()
-			m.Release()
-		}
 	}
 
 	reservoir := func(digest string, variant int) *ffstore.Reservoir {
@@ -126,30 +90,6 @@ func storeCases(t *testing.T) []storeCase {
 						return -1, err
 					}
 					return variant(r.TotalCycles), nil
-				}
-			},
-		},
-		{
-			kind:    store.Checkpoint,
-			names:   ckptNames,
-			corrupt: b.CheckpointCorrupt,
-			save: func(path string, key, v int) error {
-				return store.Save(path, ckpt.Section{Tag: trace.TagCkpt, Payload: ckpts[key][v]})
-			},
-			decode: func(key int) func([]byte) (int, error) {
-				return func(data []byte) (int, error) {
-					// Restores need a freshly built machine; bytes that
-					// are not even a container are turned away first so
-					// the every-offset truncation sweep builds none.
-					if _, err := ckpt.ReadSection(data, trace.TagCkpt); err != nil {
-						return -1, err
-					}
-					m := newMachine(key)
-					defer m.Release()
-					if _, err := checkpointDecoder(m)(data); err != nil {
-						return -1, err
-					}
-					return int(m.Cycle()/1000) - 1, nil
 				}
 			},
 		},

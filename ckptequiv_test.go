@@ -16,9 +16,12 @@ import (
 	"softwatt/internal/core"
 	"softwatt/internal/machine"
 	"softwatt/internal/power"
-	"softwatt/internal/trace"
 	"softwatt/internal/workload"
 )
+
+// tagTestCkpt is the container section the equivalence test stores a
+// checkpoint payload in.
+var tagTestCkpt = [4]byte{'C', 'K', 'P', 'T'}
 
 // newCkptMachine builds a machine for the benchmark with the estimator's
 // standard wiring (online invocation energy).
@@ -58,8 +61,8 @@ func checkCkptEquivalence(t *testing.T, bench, coreName string) {
 	refRes := core.Collect(ref, bench, cfg.Core.String())
 	ref.Release()
 
-	// Checkpoint at the halfway cycle, round-trip through the container,
-	// restore into a fresh machine, continue to completion.
+	// Checkpoint at the halfway cycle, round-trip through a container
+	// section, restore into a fresh machine, continue to completion.
 	half := refRes.TotalCycles / 2
 	src, _ := newCkptMachine(t, bench, coreName)
 	src.StepCycles(half)
@@ -67,12 +70,12 @@ func checkCkptEquivalence(t *testing.T, bench, coreName string) {
 		t.Fatalf("machine halted during the first half (%d cycles)", half)
 	}
 	var ctr bytes.Buffer
-	if err := ckpt.WriteContainer(&ctr, ckpt.Section{Tag: trace.TagCkpt, Payload: src.Checkpoint()}); err != nil {
+	if err := ckpt.WriteContainer(&ctr, ckpt.Section{Tag: tagTestCkpt, Payload: src.Checkpoint()}); err != nil {
 		t.Fatal(err)
 	}
 	src.Release()
 
-	payload, err := ckpt.ReadSection(ctr.Bytes(), trace.TagCkpt)
+	payload, err := ckpt.ReadSection(ctr.Bytes(), tagTestCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +118,8 @@ func TestCheckpointEquivalence(t *testing.T) {
 }
 
 // TestCheckpointBytesDeterministic: checkpoints of one machine state are
-// byte-identical, so the artifacts built from them (FF reservoirs, resume
-// checkpoints) are reproducible. The kernel's per-process service stacks
+// byte-identical, so the artifacts built from them (FF reservoirs) are
+// reproducible. The kernel's per-process service stacks
 // live in a map, and Go randomises map iteration order.
 func TestCheckpointBytesDeterministic(t *testing.T) {
 	m, _ := newCkptMachine(t, "compress", "swift")

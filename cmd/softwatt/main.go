@@ -21,17 +21,15 @@
 // fast-forward pass's checkpoint reservoir, so repeated sampled runs over
 // the same workload and configuration skip the fast-forward entirely.
 // With -sample, -o saves the sampled result (.swsmp) instead of a run
-// log; -replay re-renders either kind of file. -ckpt makes full detailed
-// runs resumable: periodic checkpoints are saved to the directory and an
-// interrupted run continues from its last one. -ckpt, -eprof and -timeline
-// apply to full detailed runs only, and are rejected with -sample or -ci.
+// log; -replay re-renders either kind of file. -eprof and -timeline apply
+// to full detailed runs only, and are rejected with -sample or -ci.
 //
 // Usage:
 //
 //	softwatt [-core mipsy|mxs|mxs1] [-disk conventional|idle|standby2|standby4]
 //	         [-j N] [-profile] [-services] [-o file]
 //	         [-sample N] [-window W] [-ci T] [-maxwindows N]
-//	         [-ffcache dir] [-ckpt dir]
+//	         [-ffcache dir]
 //	         [-eprof out.pb.gz] [-timeline N]
 //	         [-http addr] [-trace file.json] <benchmark ...>
 //	softwatt -replay [-profile] [-services] <run.swlog|run.swsmp ...>
@@ -150,9 +148,6 @@ func main() {
 	specs := make([]softwatt.RunSpec, len(benches))
 	for i, bench := range benches {
 		specs[i] = softwatt.RunSpec{Benchmark: bench, Options: opt}
-		if path, ok := softwatt.ResumableCheckpoint(bench, opt); ok {
-			fmt.Fprintf(os.Stderr, "softwatt: %s resumes from %s\n", bench, path)
-		}
 	}
 	batch := cl.BatchOptions()
 	if len(benches) > 1 {

@@ -15,12 +15,8 @@
 // -http serves live metrics and pprof during the passes; -trace records
 // the whole report generation as a Perfetto-viewable pipeline trace.
 //
-// -ckpt makes every simulated cell resumable: cells save periodic machine
-// checkpoints to the directory, and a re-run after an interruption
-// continues each unfinished cell from its last checkpoint (finished cells
-// still load from -logs). -sample/-window parameterize the s1 experiment,
-// which cross-checks the sampled-simulation estimator against a full
-// detailed run.
+// -sample/-window parameterize the s1 experiment, which cross-checks the
+// sampled-simulation estimator against a full detailed run.
 //
 // A second mode turns swreport into a run-log viewer: with -eprof-top,
 // -timeline, -timeline-csv, or -eprof, the positional arguments are saved
@@ -31,7 +27,7 @@
 //
 // Usage:
 //
-//	swreport [-j N] [-logs dir] [-ckpt dir] [-http addr] [-trace file.json]
+//	swreport [-j N] [-logs dir] [-http addr] [-trace file.json]
 //	         [-sample N] [-window W]
 //	         [-exp all|v1|t1|f2|f3|f4|f5|f6|f7|f8|f9|t2|t3|t4|t5|x1|x2|a1|a2|s1]
 //	swreport [-eprof-top N] [-timeline] [-timeline-csv] [-eprof out.pb.gz]
@@ -122,7 +118,7 @@ func viewLogs(paths []string, top int, spark, csv bool, eprofOut string) error {
 
 type state struct {
 	est       *softwatt.Estimator
-	flags     *cli.Flags            // the shared run flags (-core override, -ckpt, -j, s1's sampling)
+	flags     *cli.Flags            // the shared run flags (-core override, -j, s1's sampling)
 	logsDir   string                // -logs: run-log and sampled-result cache
 	mxsRuns   []*softwatt.RunResult // cached all-benchmark MXS results
 	mipsyRuns []*softwatt.RunResult // cached all-benchmark Mipsy results
@@ -134,11 +130,10 @@ type state struct {
 // Every multi-run experiment shares the -j worker count and per-cell
 // progress (rate, ETA, failures) on stderr.
 func (s *state) runs(specs []softwatt.RunSpec) ([]*softwatt.RunResult, error) {
-	for i := range specs {
-		if s.flags.Core != "" {
+	if s.flags.Core != "" {
+		for i := range specs {
 			specs[i].Options.Core = s.flags.Core
 		}
-		specs[i].Options.CheckpointDir = s.flags.Ckpt
 	}
 	b := s.flags.BatchOptions()
 	b.Progress = obs.NewProgress(os.Stderr).Cell

@@ -18,23 +18,21 @@
 // counters) while the sweep runs; -trace records the pipeline for
 // Perfetto.
 //
-// -ckpt makes the sweep preemptible: every cell saves periodic machine
-// checkpoints to the directory and an interrupted sweep resumes each cell
-// from its last checkpoint instead of from boot. -sample N replaces each
-// cell's full detailed run with a sampled estimate: the disk columns come
-// exactly from a swift fast-forward pass (the disk timeline is
-// functional), and CPU power is measured over N detailed windows of
-// -window cycles with a 95% confidence interval. -ci T makes the window
-// count adaptive (waves until the CI half-width reaches T watts). Under
-// -sample, -logs caches each cell's sampled result (a warm sweep renders
-// with zero simulation) and -ffcache persists each cell's fast-forward
-// reservoir, so re-sweeping the grid with different sampling parameters
-// skips the ~10⁸-cycle fast-forward per cell. -ckpt, -eprof and -timeline
-// apply to full detailed cells only, and are rejected with -sample or -ci.
+// -sample N replaces each cell's full detailed run with a sampled
+// estimate: the disk columns come exactly from a swift fast-forward pass
+// (the disk timeline is functional), and CPU power is measured over N
+// detailed windows of -window cycles with a 95% confidence interval. -ci T
+// makes the window count adaptive (waves until the CI half-width reaches
+// T watts). Under -sample, -logs caches each cell's sampled result (a warm
+// sweep renders with zero simulation) and -ffcache persists each cell's
+// fast-forward reservoir, so re-sweeping the grid with different sampling
+// parameters skips the ~10⁸-cycle fast-forward per cell. -eprof and
+// -timeline apply to full detailed cells only, and are rejected with
+// -sample or -ci.
 //
 // Usage:
 //
-//	swsweep [-j N] [-q] [-logs dir] [-ckpt dir] [-sample N] [-window W]
+//	swsweep [-j N] [-q] [-logs dir] [-sample N] [-window W]
 //	        [-ci T] [-ffcache dir]
 //	        [-http addr] [-trace file.json] [benchmark ...]
 package main

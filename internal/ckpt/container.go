@@ -1,8 +1,7 @@
 package ckpt
 
 // The container is the file framing every persisted artifact shares
-// (DESIGN.md §8): run logs, resume checkpoints, fast-forward reservoirs and
-// sampled results.
+// (DESIGN.md §8): run logs, fast-forward reservoirs and sampled results.
 //
 //	uint32 magic "SWAT", uint32 version = 2
 //	repeated sections, each:

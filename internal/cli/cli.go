@@ -1,6 +1,6 @@
 // Package cli is the flag set and process plumbing the three commands
-// (softwatt, swsweep, swreport) share: the run flags -core, -j, -ckpt,
-// -sample, -window, -ci and -ffcache, the -cpuprofile/-memprofile and
+// (softwatt, swsweep, swreport) share: the run flags -core, -j, -sample,
+// -window, -ci and -ffcache, the -cpuprofile/-memprofile and
 // -http/-trace flags with their start and stop, and the error exit that
 // flushes profiles and traces first. Typical use:
 //
@@ -29,7 +29,6 @@ import (
 type Flags struct {
 	Core    string  // -core: CPU model
 	Jobs    int     // -j: simulations (or sample windows) in parallel
-	Ckpt    string  // -ckpt: checkpoint directory for resumable runs
 	Sample  int     // -sample: detailed windows per sampled estimate
 	Window  uint64  // -window: detailed cycles per sample window
 	CI      float64 // -ci: adaptive sampling's CI half-width target (W)
@@ -46,7 +45,6 @@ func Register(fs *flag.FlagSet, coreDefault, coreUsage string) *Flags {
 	f := &Flags{fs: fs, pr: prof.Flags(fs), ob: obs.Flags(fs)}
 	fs.StringVar(&f.Core, "core", coreDefault, coreUsage)
 	fs.IntVar(&f.Jobs, "j", 0, "simulations to run in parallel (0 = one per CPU)")
-	fs.StringVar(&f.Ckpt, "ckpt", "", "checkpoint directory: full detailed runs save periodic checkpoints and resume from the last one")
 	fs.IntVar(&f.Sample, "sample", 0, "estimate power from N sampled detailed windows instead of a full detailed run (0 = full detail; swreport -exp s1 defaults to 4)")
 	fs.Uint64Var(&f.Window, "window", 0, "detailed cycles per sample window (0 = default 200000; swreport -exp s1 defaults to 100000)")
 	fs.Float64Var(&f.CI, "ci", 0, "adaptive sampling: add window waves until the 95% CI half-width is at most this many watts (0 = fixed window count)")
@@ -58,12 +56,11 @@ func Register(fs *flag.FlagSet, coreDefault, coreUsage string) *Flags {
 func (f *Flags) Sampled() bool { return f.Sample > 0 || f.CI > 0 }
 
 // fullOnly are the flags only a full detailed run honours: a sampled run
-// has no resumable run to checkpoint, no run result to carry a timeline,
-// and no full-run energy to profile.
-var fullOnly = []string{"ckpt", "timeline", "eprof"}
+// has no run result to carry a timeline and no full-run energy to profile.
+var fullOnly = []string{"timeline", "eprof"}
 
 // CheckSampled rejects -sample or -ci combined with a full-run-only flag
-// the command declares (-ckpt, -timeline, -eprof) given a non-default
+// the command declares (-timeline, -eprof) given a non-default
 // value, naming every such flag in one message.
 func (f *Flags) CheckSampled() error {
 	if !f.Sampled() {
@@ -88,7 +85,7 @@ func (f *Flags) CheckSampled() error {
 
 // Options returns the run options the shared flags select.
 func (f *Flags) Options() softwatt.Options {
-	return softwatt.Options{Core: f.Core, CheckpointDir: f.Ckpt}
+	return softwatt.Options{Core: f.Core}
 }
 
 // SampleOptions returns the sampled-simulation options the shared flags

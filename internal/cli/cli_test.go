@@ -13,8 +13,7 @@ import (
 // command mirrors how each CLI registers the shared set: its -core default
 // and its own -timeline and -eprof flags, which CheckSampled inspects.
 // swreport's -timeline is a log-viewer switch, and swreport never calls
-// CheckSampled: there -sample only shapes the s1 experiment and -ckpt
-// still applies to its full cells.
+// CheckSampled: there -sample only shapes the s1 experiment.
 type command struct {
 	name, core string
 	viewer     bool // swreport: -timeline is a bool, no CheckSampled
@@ -66,8 +65,8 @@ func TestSharedFlags(t *testing.T) {
 			opt: softwatt.Options{Core: "mipsy"}},
 		{name: "swreport defaults", cmd: swreportCmd},
 		{name: "full run", cmd: softwattCmd,
-			args: []string{"-core", "mipsy", "-j", "3", "-ckpt", "ck", "-timeline", "1000", "-eprof", "e.pb.gz"},
-			opt:  softwatt.Options{Core: "mipsy", CheckpointDir: "ck"},
+			args: []string{"-core", "mipsy", "-j", "3", "-timeline", "1000", "-eprof", "e.pb.gz"},
+			opt:  softwatt.Options{Core: "mipsy"},
 			so:   softwatt.SampleOptions{Workers: 3},
 			b:    softwatt.BatchOptions{Workers: 3}},
 		{name: "sampled", cmd: swsweepCmd,
@@ -86,33 +85,33 @@ func TestSharedFlags(t *testing.T) {
 			opt:     softwatt.Options{Core: "mxs"},
 			so:      softwatt.SampleOptions{Windows: 2},
 			sampled: true},
-		{name: "softwatt sample with ckpt and timeline", cmd: softwattCmd,
-			args:    []string{"-sample", "2", "-timeline", "100000", "-ckpt", "dir"},
-			opt:     softwatt.Options{Core: "mxs", CheckpointDir: "dir"},
+		{name: "softwatt sample with timeline and eprof", cmd: softwattCmd,
+			args:    []string{"-sample", "2", "-timeline", "100000", "-eprof", "e.pb.gz"},
+			opt:     softwatt.Options{Core: "mxs"},
 			so:      softwatt.SampleOptions{Windows: 2},
 			sampled: true,
-			wantErr: "softwatt: -ckpt, -timeline need a full detailed run, not -sample/-ci"},
+			wantErr: "softwatt: -timeline, -eprof need a full detailed run, not -sample/-ci"},
 		{name: "softwatt ci with eprof", cmd: softwattCmd,
 			args:    []string{"-ci", "1", "-eprof", "e.pb.gz"},
 			opt:     softwatt.Options{Core: "mxs"},
 			so:      softwatt.SampleOptions{TargetCIW: 1},
 			sampled: true,
 			wantErr: "softwatt: -eprof needs a full detailed run"},
-		{name: "swsweep sample with ckpt", cmd: swsweepCmd,
-			args:    []string{"-sample", "3", "-ckpt", "dir"},
-			opt:     softwatt.Options{Core: "mipsy", CheckpointDir: "dir"},
+		{name: "swsweep sample with timeline", cmd: swsweepCmd,
+			args:    []string{"-sample", "3", "-timeline", "5"},
+			opt:     softwatt.Options{Core: "mipsy"},
 			so:      softwatt.SampleOptions{Windows: 3},
 			sampled: true,
-			wantErr: "swsweep: -ckpt needs a full detailed run"},
-		{name: "swsweep sample with all three", cmd: swsweepCmd,
-			args:    []string{"-sample", "3", "-ckpt", "d", "-timeline", "5", "-eprof", "p"},
-			opt:     softwatt.Options{Core: "mipsy", CheckpointDir: "d"},
-			so:      softwatt.SampleOptions{Windows: 3},
+			wantErr: "swsweep: -timeline needs a full detailed run"},
+		{name: "swsweep ci with both", cmd: swsweepCmd,
+			args:    []string{"-ci", "2", "-core", "mxs", "-timeline", "5", "-eprof", "p"},
+			opt:     softwatt.Options{Core: "mxs"},
+			so:      softwatt.SampleOptions{TargetCIW: 2},
 			sampled: true,
-			wantErr: "-ckpt, -timeline, -eprof need"},
-		{name: "swreport s1 keeps ckpt", cmd: swreportCmd,
-			args:    []string{"-sample", "2", "-window", "100", "-ckpt", "d", "-ci", "0.25", "-ffcache", "f", "-j", "1"},
-			opt:     softwatt.Options{CheckpointDir: "d"},
+			wantErr: "swsweep: -timeline, -eprof need a full detailed run, not -sample/-ci"},
+		{name: "swreport s1 keeps shared flags", cmd: swreportCmd,
+			args:    []string{"-sample", "2", "-window", "100", "-core", "mxs1", "-ci", "0.25", "-ffcache", "f", "-j", "1"},
+			opt:     softwatt.Options{Core: "mxs1"},
 			so:      softwatt.SampleOptions{Windows: 2, WindowCycles: 100, TargetCIW: 0.25, FFCacheDir: "f", Workers: 1},
 			b:       softwatt.BatchOptions{Workers: 1},
 			sampled: true},
@@ -149,7 +148,7 @@ func TestSharedFlags(t *testing.T) {
 func TestRegisterDeclaresSharedFlags(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	Register(fs, "mipsy", "CPU model")
-	for _, name := range []string{"core", "j", "ckpt", "sample", "window", "ci", "ffcache",
+	for _, name := range []string{"core", "j", "sample", "window", "ci", "ffcache",
 		"cpuprofile", "memprofile", "http", "trace"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("-%s not declared", name)

@@ -45,7 +45,7 @@ func (m *Machine) fingerprint() string {
 }
 
 // Checkpoint serialises the machine's complete state. The payload is raw;
-// callers wrap it in a container (trace.WriteCheckpoint) for storage.
+// the fast-forward reservoir (internal/ffstore) stores it as one entry.
 func (m *Machine) Checkpoint() []byte {
 	w := &ckpt.Writer{}
 	// Payloads from one machine grow slowly and monotonically (dirty pages,

@@ -54,9 +54,6 @@ type BatchMetrics struct {
 	// LogCacheCorrupt counts cache files that existed but failed to load —
 	// a corrupted or truncated log, distinct from a plain miss.
 	LogCacheCorrupt *Counter
-	// CheckpointCorrupt counts resumable-run checkpoints that existed but
-	// failed to read or restore (the run restarts from boot).
-	CheckpointCorrupt *Counter
 	// FFCacheHits/Misses/Corrupt count fast-forward reservoir cache
 	// outcomes (sampled runs with an -ffcache directory). A hit skips the
 	// swift fast-forward pass entirely; corrupt files are rebuilt.
@@ -100,8 +97,6 @@ func Batch() *BatchMetrics {
 				"Run-log cache lookups that had to simulate.", ""),
 			LogCacheCorrupt: def.Counter("softwatt_logcache_corrupt_total",
 				"Run-log cache files present but unreadable (corrupt/truncated).", ""),
-			CheckpointCorrupt: def.Counter("softwatt_checkpoint_corrupt_total",
-				"Resumable-run checkpoints present but unusable (run restarted from boot).", ""),
 			FFCacheHits: def.Counter("softwatt_ffcache_hits_total",
 				"Fast-forward reservoir cache lookups answered from a saved reservoir.", ""),
 			FFCacheMisses: def.Counter("softwatt_ffcache_misses_total",

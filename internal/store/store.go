@@ -1,7 +1,7 @@
 // Package store is the one on-disk artifact store (DESIGN.md §8.3). Run
-// logs, resume checkpoints, fast-forward reservoirs and sampled results
-// all live in files named by (kind, benchmark, digest), hold a ckpt
-// container, are written atomically, and load under one corrupt policy:
+// logs, fast-forward reservoirs and sampled results all live in files
+// named by (kind, benchmark, digest), hold a ckpt container, are written
+// atomically, and load under one corrupt policy:
 //
 //   - a missing file is a plain miss (fs.ErrNotExist);
 //   - any other failure — the read, the container, the decode, or the key
@@ -14,8 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"softwatt/internal/ckpt"
 	"softwatt/internal/obs"
@@ -26,17 +28,15 @@ type Kind uint8
 
 // Artifact kinds.
 const (
-	RunLog     Kind = iota // a complete run result (multi-section run log)
-	Checkpoint             // a resumable run's machine checkpoint (CKPT)
-	Reservoir              // a fast-forward checkpoint reservoir (FFRS)
-	Sampled                // a sampled-simulation estimate (SRES)
+	RunLog    Kind = iota // a complete run result (multi-section run log)
+	Reservoir             // a fast-forward checkpoint reservoir (FFRS)
+	Sampled               // a sampled-simulation estimate (SRES)
 )
 
 var kinds = [...]struct{ noun, ext string }{
-	RunLog:     {"run log", ".swlog"},
-	Checkpoint: {"checkpoint", ".swckpt"},
-	Reservoir:  {"fast-forward reservoir", ".swffr"},
-	Sampled:    {"sampled result", ".swsmp"},
+	RunLog:    {"run log", ".swlog"},
+	Reservoir: {"fast-forward reservoir", ".swffr"},
+	Sampled:   {"sampled result", ".swsmp"},
 }
 
 func (k Kind) String() string { return kinds[k].noun }
@@ -47,8 +47,7 @@ func (k Kind) Path(dir, benchmark, digest string) string {
 	return filepath.Join(dir, benchmark+"-"+digest+kinds[k].ext)
 }
 
-// counters returns the kind's lookup-outcome instruments. Checkpoints
-// count only corruption (a resumed run is not a cache hit).
+// counters returns the kind's lookup-outcome instruments.
 func (k Kind) counters() (hits, misses, corrupt *obs.Counter) {
 	b := obs.Batch()
 	switch k {
@@ -56,10 +55,8 @@ func (k Kind) counters() (hits, misses, corrupt *obs.Counter) {
 		return b.LogCacheHits, b.LogCacheMisses, b.LogCacheCorrupt
 	case Reservoir:
 		return b.FFCacheHits, b.FFCacheMisses, b.FFCacheCorrupt
-	case Sampled:
-		return b.SampledCacheHits, b.SampledCacheMisses, b.SampledCacheCorrupt
 	}
-	return nil, nil, b.CheckpointCorrupt
+	return b.SampledCacheHits, b.SampledCacheMisses, b.SampledCacheCorrupt
 }
 
 // Save writes a container of sections to path, creating or replacing it
@@ -74,7 +71,7 @@ func Save(path string, sections ...ckpt.Section) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(dir, base+".tmp*")
+	f, err := createTemp(dir, base)
 	if err != nil {
 		return err
 	}
@@ -89,6 +86,20 @@ func Save(path string, sections ...ckpt.Section) error {
 		os.Remove(f.Name())
 	}
 	return err
+}
+
+// createTemp creates a new file base.tmp<random> in dir for Save. It is
+// os.CreateTemp but with mode 0644 under the umask, as the directory's
+// 0755 is: CreateTemp's fixed 0600 would keep every artifact in a shared
+// cache directory from the directory's other readers.
+func createTemp(dir, base string) (*os.File, error) {
+	for {
+		name := filepath.Join(dir, base+".tmp"+strconv.FormatUint(rand.Uint64(), 36))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, err
+		}
+	}
 }
 
 // Load reads the file at path whole and decodes it; decode receives the
@@ -117,9 +128,7 @@ func Lookup[T any](k Kind, path string, decode func(data []byte) (T, error)) (T,
 	hits, misses, corrupt := k.counters()
 	v, err := Load(path, decode)
 	if err == nil {
-		if hits != nil {
-			hits.Inc()
-		}
+		hits.Inc()
 		return v, nil
 	}
 	if !errors.Is(err, fs.ErrNotExist) {
@@ -127,8 +136,6 @@ func Lookup[T any](k Kind, path string, decode func(data []byte) (T, error)) (T,
 		fmt.Fprintf(os.Stderr, "softwatt: corrupt %s (rebuilding): %v\n", k, err)
 		os.Remove(path)
 	}
-	if misses != nil {
-		misses.Inc()
-	}
+	misses.Inc()
 	return v, err
 }

@@ -1,7 +1,7 @@
 package trace
 
 // Checkpoint support (DESIGN.md §13): serialisation of the collector's
-// complete accumulation state, and the CKPT file container.
+// complete accumulation state.
 //
 // The collector must round-trip everything that influences future output —
 // the current attribution context, the open sample window, all flushed
@@ -10,16 +10,11 @@ package trace
 // The two callbacks are wiring, not state: drain is registered by the
 // timing model at construction and energyFn by the estimator facade, both
 // on whatever machine the collector now belongs to.
-//
-// A checkpoint file is a ckpt container holding one CKPT section.
 
 import (
 	"softwatt/internal/ckpt"
 	"softwatt/internal/stats"
 )
-
-// TagCkpt is the container section carrying a machine checkpoint.
-var TagCkpt = [4]byte{'C', 'K', 'P', 'T'}
 
 // Encoded sizes of one bucket and one sample window: the minimum bytes a
 // counted record occupies, for validating counts before allocation.

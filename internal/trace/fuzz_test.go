@@ -8,64 +8,47 @@ import (
 	"softwatt/internal/ckpt"
 )
 
-// The container framing the checkpoint seeds splice by hand
-// (internal/ckpt).
-const (
-	logMagic    = 0x53574154 // "SWAT"
-	logVersion2 = 2
-)
-
-var tagEnd = [4]byte{'E', 'N', 'D', 0}
-
-// FuzzReadCheckpoint drives the CKPT container reader and the collector's
-// state decoder over arbitrary bytes. As with the run log's FuzzReadLog,
-// the property is robustness: a corrupt container or payload — including
-// section sizes and element counts that lie — must produce an error, never
-// a panic or an allocation proportional to a claimed count.
+// FuzzReadCheckpoint drives the collector's state decoder, the part of a
+// machine checkpoint this package owns, over arbitrary payload bytes. As
+// with the run log's FuzzReadLog, the property is robustness: a corrupt
+// payload — including element counts that lie — must produce an error,
+// never a panic or an allocation proportional to a claimed count. A
+// payload that does decode must re-encode to exactly the bytes the decoder
+// consumed. (The container framing around checkpoints in a reservoir is
+// fuzzed by FuzzReadReservoir.)
 func FuzzReadCheckpoint(f *testing.F) {
-	// Seed: a valid checkpoint container around a valid collector payload.
+	// Seed: a valid collector payload.
 	c := NewCollector(0)
 	c.SetContext(ModeUser, SvcNone)
 	c.AddCycles(25_000) // crosses a flush: the payload carries real samples
 	c.AddInst(5)
 	var cw ckpt.Writer
 	c.EncodeState(&cw)
-	var ok bytes.Buffer
-	if err := ckpt.WriteContainer(&ok, ckpt.Section{Tag: TagCkpt, Payload: cw.Bytes()}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ok.Bytes())
+	ok := cw.Bytes()
+	f.Add(ok)
 
-	// Seed: a CKPT section whose size field lies past the actual bytes.
-	var lie bytes.Buffer
-	binary.Write(&lie, binary.LittleEndian, [2]uint32{logMagic, logVersion2})
-	lie.Write(TagCkpt[:])
-	binary.Write(&lie, binary.LittleEndian, uint64(1)<<40)
-	f.Add(lie.Bytes())
+	// Seed: the same payload with its sample-window count (after the
+	// window size, mode, svc and the open window) claiming far more
+	// windows than the bytes left.
+	lie := bytes.Clone(ok)
+	binary.LittleEndian.PutUint32(lie[8+1+1+SampleBytes:], 1<<32-1)
+	f.Add(lie)
 
-	// Seed: an unknown section before CKPT (must be skipped), then END with
-	// no CKPT at all (must be an error).
-	var skip bytes.Buffer
-	binary.Write(&skip, binary.LittleEndian, [2]uint32{logMagic, logVersion2})
-	skip.WriteString("JUNK")
-	binary.Write(&skip, binary.LittleEndian, uint64(4))
-	skip.WriteString("data")
-	skip.Write(tagEnd[:])
-	binary.Write(&skip, binary.LittleEndian, uint64(0))
-	f.Add(skip.Bytes())
+	// Seeds: the valid payload cut inside its flushed windows, and garbage.
+	f.Add(ok[:len(ok)/2])
 	f.Add([]byte("not a checkpoint"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := ckpt.ReadSection(data, TagCkpt)
-		if err != nil {
+		fresh := NewCollector(0)
+		r := ckpt.NewReader(data)
+		fresh.DecodeState(r)
+		if r.Err() != nil {
 			return
 		}
-		// The payload parsed out of the container is itself attacker-shaped
-		// bytes; the state decoder must fail through the reader's poisoned
-		// error, not through a panic or a count-sized allocation.
-		fresh := NewCollector(0)
-		r := ckpt.NewReader(payload)
-		fresh.DecodeState(r)
-		_ = r.Err()
+		var w ckpt.Writer
+		fresh.EncodeState(&w)
+		if used := data[:len(data)-r.Remaining()]; !bytes.Equal(w.Bytes(), used) {
+			t.Fatalf("decoded state re-encodes to %d bytes, decoder consumed %d", len(w.Bytes()), len(used))
+		}
 	})
 }

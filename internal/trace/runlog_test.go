@@ -33,6 +33,9 @@ var (
 	tagSamp = [4]byte{'S', 'A', 'M', 'P'}
 	tagTlin = [4]byte{'T', 'L', 'I', 'N'}
 	tagEprf = [4]byte{'E', 'P', 'R', 'F'}
+	// tagCkpt names a section no run log has: a container holding only it
+	// is another artifact, not a run log.
+	tagCkpt = [4]byte{'C', 'K', 'P', 'T'}
 )
 
 // randRecord builds a pseudo-random but deterministic full run result.
@@ -205,7 +208,7 @@ func TestReadRunRecordRejectsOtherContainers(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"bare header":  container(),
-		"checkpoint":   container(section(trace.TagCkpt, []byte("machine state"))),
+		"checkpoint":   container(section(tagCkpt, []byte("machine state"))),
 		"no SAMP":      container(body[:bytes.Index(body, tagSamp[:])]),
 		"double CONF":  dup(tagConf),
 		"double SAMP":  dup(tagSamp),
@@ -406,7 +409,7 @@ func FuzzReadLog(f *testing.F) {
 	// checkpoint — and a log with a duplicated CONF section.
 	var bare, ck, dup bytes.Buffer
 	ckpt.WriteContainer(&bare)
-	ckpt.WriteContainer(&ck, ckpt.Section{Tag: trace.TagCkpt, Payload: []byte("state")})
+	ckpt.WriteContainer(&ck, ckpt.Section{Tag: tagCkpt, Payload: []byte("state")})
 	ckpt.WriteContainer(&dup, append(rec.Sections(), rec.Sections()[1])...)
 	f.Add(bare.Bytes())
 	f.Add(ck.Bytes())

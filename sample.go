@@ -194,8 +194,9 @@ func cpuEnergyDelta(model *power.Model, before, after *[trace.NumModes]trace.Buc
 // ffConfigDigest is the fast-forward cache key: the FF (swift) machine
 // configuration — all of it, because e.g. the disk policy shifts spinup
 // timing and therefore checkpoint contents — plus the reservoir capacity,
-// which shapes the entry set. MaxCycles is excluded (the resume-checkpoint
-// convention): a reservoir is valid under any cycle budget.
+// which shapes the entry set. MaxCycles is excluded: a reservoir is only
+// saved from a pass that halted, and its entries do not depend on the
+// budget, so it is valid under any cycle budget.
 func ffConfigDigest(benchmark string, ffCfg machine.Config, capacity int) string {
 	ffCfg.MaxCycles = 0
 	entries := core.ConfigEntries(ffCfg)

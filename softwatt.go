@@ -19,8 +19,6 @@ package softwatt
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"softwatt/internal/core"
@@ -121,16 +119,6 @@ type Options struct {
 	// halts the processor (WAIT) instead of busy-waiting, eliminating the
 	// idle process's pipeline activity.
 	IdleHalt bool
-	// CheckpointDir, when set, makes the run resumable: a machine
-	// checkpoint is written there every CheckpointEvery cycles (atomically,
-	// keyed by the run's configuration digest), an existing matching
-	// checkpoint is restored instead of starting from boot, and the file is
-	// removed when the run completes. Checkpointing changes no results —
-	// the continuation is bit-identical to an uninterrupted run — and does
-	// not participate in the configuration digest.
-	CheckpointDir string
-	// CheckpointEvery is the checkpoint interval in cycles (default 5e8).
-	CheckpointEvery uint64
 	// EnergyProfile attributes every joule to the guest code that spent it
 	// (DESIGN.md §15): the run result carries per-PC-bucket energy usable
 	// via WriteEnergyProfile (pprof flame graphs) and swreport -eprof-top.
@@ -229,41 +217,19 @@ func run(benchmark string, opt Options, tid int64) (*RunResult, error) {
 	// Per-invocation service energy (the paper's Table 5) is the one CPU
 	// quantity measured online, so wire the power model in.
 	model := power.Default()
+	m.Collector().SetEnergyFn(model.InvocationEnergy)
 	var ep *eprof.Profiler
 	if opt.EnergyProfile {
 		unitPJ, cyclePJ := model.EProfCoeffs()
 		ep = eprof.New(eprof.DefaultShift, unitPJ, cyclePJ)
+		m.SetEnergyProfiler(ep, ep.Shift())
 	}
-	wire := func(m *machine.Machine) {
-		m.Collector().SetEnergyFn(model.InvocationEnergy)
-		if ep != nil {
-			m.SetEnergyProfiler(ep, ep.Shift())
-		}
-		if cfg.TimelineCycles > 0 {
-			m.OnTimeline = timelineExporter(model, m.Config().ClockHz, tid)
-		}
-	}
-	wire(m)
-	ckptPath := ""
-	if opt.CheckpointDir != "" {
-		if err := os.MkdirAll(opt.CheckpointDir, 0o755); err != nil {
-			return nil, err
-		}
-		ckptPath = filepath.Join(opt.CheckpointDir, CheckpointFileName(benchmark, cfg))
-		// A failed restore rebuilds the machine, so the energy wiring must
-		// be redone on whatever machine comes back.
-		if m, err = resumeMachine(m, cfg, w, ckptPath); err != nil {
-			return nil, err
-		}
-		wire(m)
+	if cfg.TimelineCycles > 0 {
+		m.OnTimeline = timelineExporter(model, m.Config().ClockHz, tid)
 	}
 	sp = obs.StartSpan(tid, "simulate "+benchmark, "simulate")
 	sp.Arg("core", cfg.Core.String())
-	if ckptPath != "" {
-		err = runCheckpointed(m, ckptPath, opt.CheckpointEvery, cfg)
-	} else {
-		err = m.Run(0)
-	}
+	err = m.Run(0)
 	sp.Arg("cycles", fmt.Sprint(m.Cycle()))
 	sp.End()
 	if err != nil {
@@ -374,6 +340,7 @@ func runBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
 				}
 				if err != nil {
 					span.Arg("error", err.Error())
+					r = nil // a cell whose OnResult failed is a failed cell
 				}
 				span.End()
 				return r, err
