@@ -13,7 +13,7 @@ package obs
 //
 // Open spans are tracked in a registry so WriteJSON can flush them as
 // truncated-but-valid complete events: a run interrupted by ^C or an error
-// exit (prof.Exit runs the exit hooks, which write the trace) still
+// exit (the command-line plumbing in internal/cli writes the trace) still
 // produces a file Perfetto loads, with the in-flight spans extending to
 // the moment of death and marked truncated.
 
