@@ -147,13 +147,14 @@ func TestStoreRobustness(t *testing.T) {
 			decode := tc.decode(0)
 
 			// expectCorrupt looks path up under key and requires the
-			// corrupt policy: a non-NotExist error, one count, file gone.
+			// corrupt policy: a rebuild (no hit, no error), one count,
+			// file gone.
 			expectCorrupt := func(what, path string, key int) {
 				t.Helper()
 				before := tc.corrupt.Value()
-				v, err := store.Lookup(tc.kind, path, tc.decode(key))
-				if err == nil || errors.Is(err, fs.ErrNotExist) {
-					t.Fatalf("%s: lookup gave variant %d, err %v; want corruption", what, v, err)
+				v, ok, err := store.Lookup(tc.kind, path, tc.decode(key))
+				if ok || err != nil {
+					t.Fatalf("%s: lookup gave variant %d, hit %v, err %v; want corruption", what, v, ok, err)
 				}
 				if got := tc.corrupt.Value() - before; got != 1 {
 					t.Fatalf("%s: corrupt counter moved by %d, want 1", what, got)
@@ -166,8 +167,8 @@ func TestStoreRobustness(t *testing.T) {
 			if err := tc.save(path, 0, 0); err != nil {
 				t.Fatal(err)
 			}
-			if v, err := store.Lookup(tc.kind, path, decode); err != nil || v != 0 {
-				t.Fatalf("fresh file: variant %d, err %v", v, err)
+			if v, ok, err := store.Lookup(tc.kind, path, decode); !ok || err != nil || v != 0 {
+				t.Fatalf("fresh file: variant %d, hit %v, err %v", v, ok, err)
 			}
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -196,8 +197,8 @@ func TestStoreRobustness(t *testing.T) {
 				if err := tc.save(other, 1, 1); err != nil {
 					t.Fatal(err)
 				}
-				if v, err := store.Lookup(tc.kind, other, tc.decode(1)); err != nil || v != 1 {
-					t.Fatalf("rebuilt file: variant %d, err %v", v, err)
+				if v, ok, err := store.Lookup(tc.kind, other, tc.decode(1)); !ok || err != nil || v != 1 {
+					t.Fatalf("rebuilt file: variant %d, hit %v, err %v", v, ok, err)
 				}
 			})
 

@@ -131,7 +131,11 @@ func RunBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
 	var hitLabels []string
 	for i, sp := range specs {
 		path := store.RunLog.Path(b.LogDir, sp.Benchmark, digests[i])
-		if r, err := store.Lookup(store.RunLog, path, runLogDecoder(digests[i])); err == nil {
+		r, ok, err := store.Lookup(store.RunLog, path, runLogDecoder(digests[i]))
+		if err != nil {
+			return results, err
+		}
+		if ok {
 			results[i] = r
 			hitLabels = append(hitLabels, sp.label())
 			continue

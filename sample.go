@@ -96,8 +96,9 @@ type SampleOptions struct {
 	// (DESIGN.md §14): a run whose result is present (matched by sampled
 	// digest) loads instead of simulating anything at all — no
 	// fast-forward, no windows — and a miss samples and saves. A file that
-	// fails to load or records another digest is corrupt under the
-	// store's policy, and is re-sampled over.
+	// fails to decode or records another digest is corrupt under the
+	// store's policy, and is re-sampled over. In either directory, a file
+	// that cannot be read at all fails the run before it simulates.
 	LogDir string
 }
 
@@ -266,9 +267,9 @@ func loadOrFastForward(benchmark string, w machine.Workload, ffCfg machine.Confi
 		return fastForward(benchmark, w, ffCfg, capacity, digest)
 	}
 	st := ffstore.Store{Dir: dir}
-	r, err := store.Lookup(store.Reservoir, st.Path(benchmark, digest), ffstore.Decoder(benchmark, digest))
-	if err == nil {
-		return r, nil
+	r, ok, err := store.Lookup(store.Reservoir, st.Path(benchmark, digest), ffstore.Decoder(benchmark, digest))
+	if err != nil || ok {
+		return r, err
 	}
 	if r, err = fastForward(benchmark, w, ffCfg, capacity, digest); err != nil {
 		return nil, err
@@ -293,8 +294,8 @@ func RunSampled(benchmark string, opt Options, so SampleOptions) (*SampledResult
 	path := ""
 	if so.LogDir != "" {
 		path = store.Sampled.Path(so.LogDir, benchmark, digest)
-		if r, err := store.Lookup(store.Sampled, path, sampledDecoder(digest)); err == nil {
-			return r, nil
+		if r, ok, err := store.Lookup(store.Sampled, path, sampledDecoder(digest)); err != nil || ok {
+			return r, err
 		}
 	}
 	w, err := workload.Build(benchmark)

@@ -16,6 +16,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"softwatt/internal/obs"
 )
 
 // storeChildEnv carries "logDir|ffDir|outDir" to a child process.
@@ -200,11 +202,18 @@ func TestStoreAcrossProcesses(t *testing.T) {
 }
 
 // TestStoreUnusableDir points each cache directory at a regular file. The
-// run must end in a clean error: no panic, and no result it reports.
+// run must end in a clean error before it simulates: no panic, no result
+// it reports, and a failed read is not corruption, so no corrupt counter
+// moves.
 func TestStoreUnusableDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload passes skipped in -short mode")
 	}
+	obs.SetMetricsEnabled(true)
+	defer obs.SetMetricsEnabled(false)
+	b := obs.Batch()
+	counters := []*obs.Counter{b.LogCacheCorrupt, b.FFCacheCorrupt, b.SampledCacheCorrupt, obs.Sim().Cycles}
+	names := []string{"run-log corrupt", "reservoir corrupt", "sampled-result corrupt", "simulated cycles"}
 	file := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -224,7 +233,7 @@ func TestStoreUnusableDir(t *testing.T) {
 		}},
 		{"sampled result", func(t *testing.T) error {
 			so := storeWorkSampled
-			so.LogDir = file
+			so.LogDir, so.FFCacheDir = file, dir
 			r, err := RunSampled("compress", Options{Core: "mipsy"}, so)
 			if r != nil {
 				t.Errorf("RunSampled returned a result it could not save (err %v)", err)
@@ -243,7 +252,16 @@ func TestStoreUnusableDir(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			before := make([]uint64, len(counters))
+			for i, c := range counters {
+				before[i] = c.Value()
+			}
 			err := tc.run(t)
+			for i, c := range counters {
+				if got := c.Value() - before[i]; got != 0 {
+					t.Errorf("%s counter moved by %d", names[i], got)
+				}
+			}
 			if err == nil {
 				t.Fatal("no error")
 			}
