@@ -196,10 +196,11 @@ func TestCheckpointRejects(t *testing.T) {
 		}
 	})
 	t.Run("wrong-config", func(t *testing.T) {
-		cfg, err := Options{Core: "mipsy", WindowCycles: 40000}.MachineConfig()
+		cfg, err := Options{Core: "mipsy"}.MachineConfig()
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.WindowCycles = 40000
 		w, err := workload.Build("compress")
 		if err != nil {
 			t.Fatal(err)

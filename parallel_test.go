@@ -6,6 +6,10 @@ package softwatt
 import (
 	"strings"
 	"testing"
+
+	"softwatt/internal/core"
+	"softwatt/internal/machine"
+	"softwatt/internal/workload"
 )
 
 // sweep runs the Figure 9 grid of benches on the paper's Mipsy core and
@@ -137,14 +141,28 @@ func TestBatchProgress(t *testing.T) {
 	}
 }
 
-// TestClockHzThreadsThrough checks the satellite fix for the hardcoded
-// 200 MHz in core.Collect: a run configured at a different clock must
-// report that clock, and seconds derived from it.
+// TestClockHzThreadsThrough checks the fix for the hardcoded 200 MHz in
+// core.Collect: a machine configured at a different clock must report
+// that clock, and seconds derived from it.
 func TestClockHzThreadsThrough(t *testing.T) {
-	r, err := Run("compress", Options{Core: "mipsy", ClockHz: 100e6})
+	cfg, err := Options{Core: "mipsy"}.MachineConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.ClockHz = 100e6
+	w, err := workload.Build("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	r := core.Collect(m, "compress", cfg.Core.String())
 	if r.ClockHz != 100e6 {
 		t.Fatalf("RunResult.ClockHz = %g, want 1e8", r.ClockHz)
 	}
