@@ -14,6 +14,7 @@ package swift
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -149,6 +150,10 @@ func TestLockstepRandomPrograms(t *testing.T) {
 							seed, i, fb[i], rb[i])
 					}
 				}
+				// A store may be a mapping its RAM's finalizer unmaps: the
+				// RAMs must outlive the slices just read.
+				runtime.KeepAlive(fastSide.ram)
+				runtime.KeepAlive(refSide.ram)
 				st := core.Stats()
 				total.Lock()
 				total.Hits += st.Hits

@@ -3,6 +3,7 @@ package disk
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -331,6 +332,7 @@ func TestImageScrubAndPoolReuse(t *testing.T) {
 				t.Fatalf("%s: image byte %#x = %#x", when, i, b)
 			}
 		}
+		runtime.KeepAlive(d) // the image store may be unmapped once d is unreachable
 	}
 	d := New(c, nil)
 	fill(d)

@@ -218,9 +218,10 @@ func (m *Machine) RestoreState(data []byte) error {
 		return fmt.Errorf("machine: %d trailing bytes after checkpoint", r.Remaining())
 	}
 
-	// Timeline and energy-profiler state are observational and not part of
-	// the checkpoint (DESIGN.md §15): a restored run records from the
-	// restore point onward.
+	// Timeline, telemetry and energy-profiler state are observational and
+	// not part of the checkpoint (DESIGN.md §15): a restored run records
+	// from the restore point onward.
+	m.rebaseObs()
 	m.timeline = nil
 	m.tlIdx = len(m.col.Samples())
 	m.tlStart = m.cycle

@@ -204,7 +204,7 @@ type Machine struct {
 
 // New builds a machine, loads the kernel, and stages the workload. The
 // machine is ready to Run.
-func New(cfg Config, w Workload) (*Machine, error) {
+func New(cfg Config, w Workload) (_ *Machine, err error) {
 	if cfg.RAMBytes <= 0 {
 		cfg.RAMBytes = 128 << 20
 	}
@@ -222,6 +222,11 @@ func New(cfg Config, w Workload) (*Machine, error) {
 		svcStacks: map[uint32]*svcStack{0: stk0},
 	}
 	m.dsk = disk.New(cfg.Disk, m.diskComplete)
+	defer func() {
+		if err != nil {
+			m.Release()
+		}
+	}()
 
 	kimg, err := kern.Build()
 	if err != nil {
@@ -454,8 +459,15 @@ func (m *Machine) Run(maxCycles uint64) error {
 
 // StepCycles advances the machine by exactly n cycles (or to the halt),
 // without Run's did-not-halt error: the lockstep equivalence harness's
-// stepping primitive, valid on every core kind.
-func (m *Machine) StepCycles(n uint64) { m.run(m.cycle + n) }
+// stepping primitive, valid on every core kind. With telemetry on it
+// publishes what the step simulated, as Run does at its end: a sampled
+// window is far shorter than the publication interval.
+func (m *Machine) StepCycles(n uint64) {
+	m.run(m.cycle + n)
+	if m.tele != nil {
+		m.publishObs()
+	}
+}
 
 // stepDevices fires every device/telemetry event due at the current
 // cycle: shared by the per-cycle and batched run loops.

@@ -3,10 +3,10 @@ package machine
 // Live telemetry publication. A machine constructed while metrics are
 // enabled (obs.SetMetricsEnabled, normally via a CLI's -http flag) carries
 // a telemetry block and publishes counter deltas into the process registry
-// every obsIntervalCycles simulated cycles and once more when the run
-// ends. Everything published is read from counters the simulator already
-// maintains — the caches' hit/miss counts, the CPU's code-cache
-// counters, the collector's totals and flushed sample windows,
+// every obsIntervalCycles simulated cycles and once more as each Run or
+// StepCycles call returns. Everything published is read from counters the
+// simulator already maintains — the caches' hit/miss counts, the CPU's
+// code-cache counters, the collector's totals and flushed sample windows,
 // the disk's activity statistics — so publication never perturbs
 // architected state and the golden byte-identity contract (DESIGN.md §9)
 // holds with telemetry on. With metrics disabled the only residue is one
@@ -124,9 +124,31 @@ func newTelemetry() *telemetry {
 	return t
 }
 
+// rebaseObs makes the machine's current counters the baseline of the next
+// publication without publishing them. RestoreState calls it: the
+// restored counters hold the checkpointed run's totals, which this machine
+// did not simulate (and which, on a recycled machine, may be below the
+// last published snapshot).
+func (m *Machine) rebaseObs() {
+	t := m.tele
+	if t == nil {
+		return
+	}
+	m.obsNext = m.cycle + obsIntervalCycles
+	t.lastCycles, t.lastInsts = m.col.TotalCycles(), m.col.TotalInsts()
+	for i, c := range [3]*mem.Cache{m.hier.L1I, m.hier.L1D, m.hier.L2} {
+		t.lastCache[i] = c.Snapshot()
+	}
+	t.lastBlocks = m.cpu.BlockStats()
+	t.lastCore = m.core.Counters()
+	t.lastSkipped = m.skipped
+	t.lastDisk = m.dsk.Stats()
+	t.sampleIdx = len(m.col.Samples())
+}
+
 // publishObs pushes the delta since the last publication into the
-// registry. Called from the run loop every obsIntervalCycles and once at
-// run end; always on the simulation goroutine, so reading the simulator's
+// registry. Called from the run loop every obsIntervalCycles and as each
+// Run or StepCycles call returns; always on the simulation goroutine, so reading the simulator's
 // plain counters is race-free while the registry side is atomic.
 func (m *Machine) publishObs() {
 	t := m.tele

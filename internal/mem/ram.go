@@ -2,6 +2,7 @@ package mem
 
 import (
 	"encoding/binary"
+	"runtime"
 	"sync"
 )
 
@@ -21,8 +22,17 @@ const (
 // addresses), and the disk's image is another: both are recycled through
 // one pool, scrubbed back to zero through one dirty bitmap and
 // checkpointed as the pages that differ from boot by one codec.
+//
+// The store is an anonymous private mapping outside the Go heap where the
+// platform has one (ram_mmap.go): a guest touches a few MB of its 128 MB,
+// and a heap store would count all of it as live heap, pacing the
+// collector so that it almost never runs. The mapping is unmapped when
+// Release finds the pool full, or by a finalizer when the RAM is dropped
+// unreleased; no slice of it may outlive the RAM.
 type RAM struct {
 	data []byte
+	// mapped reports that data is a mapping this RAM must unmap.
+	mapped bool
 	// dirty has one bit per 4 KB page, set by every write path (Write,
 	// MarkDirtyPage, and LoadSegment, DMA and disk writes via MarkDirty).
 	// Used to scrub recycled buffers and to select checkpoint pages;
@@ -53,23 +63,44 @@ func NewRAM(size int) *RAM {
 	}
 	ramPool.Unlock()
 	pages := (size + ramPageSize - 1) >> ramPageShift
-	return &RAM{
-		data:  make([]byte, size),
-		dirty: make([]uint64, (pages+63)/64),
+	r := &RAM{dirty: make([]uint64, (pages+63)/64)}
+	if r.data = mapStore(size); r.data != nil {
+		r.mapped = true
+		runtime.SetFinalizer(r, (*RAM).unmap)
+	} else {
+		r.data = make([]byte, size)
 	}
+	return r
 }
 
-// Release returns the buffer to the recycling pool. The RAM (and anything
-// holding its Bytes) must not be used afterwards.
+// Release returns the buffer to the recycling pool, or unmaps it when the
+// pool for its size is full. The RAM (and anything holding its Bytes) must
+// not be used afterwards.
 func (r *RAM) Release() {
 	ramPool.Lock()
-	defer ramPool.Unlock()
 	if ramPool.free == nil {
 		ramPool.free = make(map[int][]*RAM)
 	}
 	if len(ramPool.free[len(r.data)]) < ramPoolCap {
 		ramPool.free[len(r.data)] = append(ramPool.free[len(r.data)], r)
+		ramPool.Unlock()
+		return
 	}
+	ramPool.Unlock()
+	r.unmap()
+}
+
+// unmap returns a mapped store to the operating system and leaves the RAM
+// empty, so a stray later access reads open bus or panics on a nil slice
+// rather than faulting on unmapped memory. Heap stores are left to the
+// collector.
+func (r *RAM) unmap() {
+	if !r.mapped {
+		return
+	}
+	runtime.SetFinalizer(r, nil)
+	unmapStore(r.data)
+	r.data, r.mapped = nil, false
 }
 
 // Scrub re-zeroes every dirty page and clears the dirty map, restoring the

@@ -143,3 +143,34 @@ func TestBatchTraceWorkerTracks(t *testing.T) {
 		t.Errorf("got %d cell spans, want 2", cells)
 	}
 }
+
+// TestSampledRunPublishesSimCycles: a sampled run drives its machines by
+// StepCycles, in windows far shorter than the publication interval, and
+// restores checkpoints whose counters it did not simulate. With metrics on
+// the global cycle counter must still move by exactly the cycles the run
+// simulated: the fast-forward pass plus every window's warm-up and
+// measurement on a cold reservoir cache, the windows alone on a warm one.
+func TestSampledRunPublishesSimCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sampled simulation skipped in -short mode")
+	}
+	obs.SetMetricsEnabled(true)
+	defer obs.SetMetricsEnabled(false)
+	so := SampleOptions{Windows: 3, WindowCycles: 40_000, Workers: 1, FFCacheDir: t.TempDir()}
+	for _, row := range []string{"cold", "warm"} {
+		t.Run(row, func(t *testing.T) {
+			before := obs.Sim().Cycles.Value()
+			r, err := RunSampled("compress", Options{Core: "mipsy"}, so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := r.SampledCycles + uint64(len(r.Windows))*(so.WindowCycles/2)
+			if row == "cold" {
+				want += r.TotalCycles
+			}
+			if got := obs.Sim().Cycles.Value() - before; got != want {
+				t.Errorf("published cycles = %d, the run simulated %d", got, want)
+			}
+		})
+	}
+}

@@ -215,14 +215,13 @@ func fastForward(benchmark string, w machine.Workload, ffCfg machine.Config, cap
 	if err != nil {
 		return nil, err
 	}
+	defer ff.Release()
 	var entries []ffstore.Entry
 	interval := uint64(1) << 16
 	for !ff.Halted() {
 		if ff.Cycle() >= ffCfg.MaxCycles {
-			console := ff.Console()
-			ff.Release()
 			return nil, fmt.Errorf("softwatt: %s fast-forward did not halt within %d cycles (console: %q)",
-				benchmark, ffCfg.MaxCycles, console)
+				benchmark, ffCfg.MaxCycles, ff.Console())
 		}
 		ff.StepCycles(interval - ff.Cycle()%interval)
 		if ff.Halted() {
@@ -254,7 +253,6 @@ func fastForward(benchmark string, w machine.Workload, ffCfg machine.Config, cap
 		IdleCycles:  ff.Collector().ModeTotals()[trace.ModeIdle].Cycles,
 		Entries:     entries,
 	}
-	ff.Release()
 	return res, nil
 }
 

@@ -191,6 +191,9 @@ func run(benchmark string, opt Options, tid int64) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Collect copies everything out of the machine, so on every path its
+	// 128 MB RAM goes back to the pool for the next run in this process.
+	defer m.Release()
 	// Per-invocation service energy (the paper's Table 5) is the one CPU
 	// quantity measured online, so wire the power model in.
 	model := power.Default()
@@ -223,9 +226,6 @@ func run(benchmark string, opt Options, tid int64) (*RunResult, error) {
 		r.EProfShift = ep.Shift()
 	}
 	sp.End()
-	// Collect copies everything out of the machine, so its 128 MB RAM can
-	// go back to the pool for the next run in this process.
-	m.Release()
 	return r, nil
 }
 
