@@ -159,8 +159,8 @@ func TestGoldenObservabilityInvariance(t *testing.T) {
 // The .swlog goldens keep full bytes for compress only; these pins carry
 // the same byte-identity contract to the other workloads at the cost of
 // one line each. A deliberate timing-model change re-pins them from the
-// failure messages of TestTickBatchRunEquivalence and
-// TestGoldenWorkloadDigests.
+// failure messages of TestTickBatchRunEquivalence,
+// TestGoldenWorkloadDigests and TestDiskPolicyGrid.
 var resultPins = map[string]string{
 	"mipsy/compress": "e2ebf4d2f5f889915c39d74c7732c47157ff171c597774577e4ec6901335e743",
 	"mipsy/jess":     "83f353c8cfbc0d13f2fa08f8d8106259b738d2ea84ed29483185dca91c71922a",
@@ -180,6 +180,44 @@ var resultPins = map[string]string{
 	"mxs1/javac":     "12e1a8e21baba002c1b2e0cc5c7e6e1dab85bc1ab6d317b0e440eff8f0b20a39",
 	"mxs1/mtrt":      "eaeb45443afe1532e9131f846457b21e10fa3383ca08563ba40fa33abb51c263",
 	"mxs1/jack":      "bea45ed37f4b03df92b0aa40816325806f6c36012f530353c09cf4f1e4810787",
+
+	// The other disk policies on mipsy and mxs, each from a full run.
+	"mipsy/compress/idle":     "374b0be17f7ddfaaa697dfe6c620d2d89b76e2bd17b32cf4f0cdadd6c248a912",
+	"mipsy/compress/standby2": "f49e15db15ffa4827fc4f37573dfee81e932c935050e24d7c747ccacc56ea64e",
+	"mipsy/compress/standby4": "8b75eaa51bff52ce0c4c175efcc1bee7e2ae44f3a87df5ff812774388c1e474d",
+	"mipsy/jess/idle":         "be6eb479553e96289e81d49b4259384f6a71fc6f9b9404a1541e8d632c17ac9f",
+	"mipsy/jess/standby2":     "fb3b986fdeccaf3b512ae8e62783117a1637a3326341946b5077433d9c6c7942",
+	"mipsy/jess/standby4":     "a7bbd72595fc080a6b0f191a7927a5d4df63ecb3ba1df01a1ae11b83b542daa0",
+	"mipsy/db/idle":           "78e42973b3c0ab504500808f2cb90e0f07e450fcec49e371b5c9300b5a24acf7",
+	"mipsy/db/standby2":       "80617bf3ad065ac44488242f790d110d642c0661438b2dc37fca7962e760d419",
+	"mipsy/db/standby4":       "26a29c7441ea1834c2937ca8940ee40c7b156c692a8f53a2ca8d5fe3f8e37fd2",
+	"mipsy/javac/idle":        "ce91317d1f7915ea73d753bba20b8d335f7675ee242d822a8296445e8019ff20",
+	"mipsy/javac/standby2":    "47749629d28d649df7248c9965b178c3f36c9eed36f2f0590a34933e1a21e407",
+	"mipsy/javac/standby4":    "241784ffcb4bd25347934754cda4ffa3a752878c2db3a14ac9f80a5182697555",
+	"mipsy/mtrt/idle":         "e700e21c32e52d06093e77f135912426d869dc647c9d3e4d409b8bc9295b8bc5",
+	"mipsy/mtrt/standby2":     "d77f61c5488f3a615368c629dedfcd7720eb29b1088a3ea5768d11d0cf5e80a4",
+	"mipsy/mtrt/standby4":     "9fea294ce2915b2997f9f216148975e7165742f7280c33a2d75804eeb3f3f022",
+	"mipsy/jack/idle":         "fdf55ed3e5c09aaf7b3edba774a06c76d6a73ce7797ea6fd285fe78b9e7b438a",
+	"mipsy/jack/standby2":     "e426a3a40ffd3b8acdee0c26e19e98f5da840394a2742a7cbf5d255d8d955d82",
+	"mipsy/jack/standby4":     "a97acbe7cf605d23523c3e4045e822d9fc2f590ca719acfd3c1390824a649190",
+	"mxs/compress/idle":       "239c0fc0e4b342e036eb4221087775e9adbeacfe99a0c59ba2608ecdf71e584f",
+	"mxs/compress/standby2":   "431f99fe0b01695f7f6c7208848700244bd400857ea356a3120c32e986075a23",
+	"mxs/compress/standby4":   "1021b5fe937f9a447a4da091a331a5acfa2d45353ce87e7224a35ebb194b0d51",
+	"mxs/jess/idle":           "9684e5204fbe4a0da63be5e0c98c3f5d03447e8a9453f11888bc94f938ebfb7d",
+	"mxs/jess/standby2":       "2b166d3055f3441bd91d5496aaac86d2512bb16302b1154409dd432355d98417",
+	"mxs/jess/standby4":       "353102974a5dd5041cd968c0de36b6a59d563806ecedc866015825e72cbab92c",
+	"mxs/db/idle":             "345eb795781dd359f462ba10c80a440344e2c728f17368a8b9a699cc17832707",
+	"mxs/db/standby2":         "7256caf36954bcc244da8172aacbc8205037e0fd3bc168e15b99a1cb541bab31",
+	"mxs/db/standby4":         "f1922af8de6c7bdf6ed07de65f31819aa17d59284b1e6261bf4c9191e147685e",
+	"mxs/javac/idle":          "6e0d410c0d69a26f1f74819ae9c23f25e08fceba9a3a6d5fafdb1f10825d3e99",
+	"mxs/javac/standby2":      "bfb3cf78835efb802789a1429721c8636a67b96f2849796073cb30f3167de326",
+	"mxs/javac/standby4":      "86c1c290e5021dcf7f7fdd04377cc729840266a15b4288e47927213f4b41ab84",
+	"mxs/mtrt/idle":           "42f36047b4304393582d238691a3efbd9af4a19311fe0be5cafbf9753af7a8fc",
+	"mxs/mtrt/standby2":       "079debccd0841c458939e3fa25497671d7b4f9e622280e830fc62d1bacb98611",
+	"mxs/mtrt/standby4":       "c9587264c5bcfd118703680493b2ac999308747bc0e1263a07e9a051c3873ef6",
+	"mxs/jack/idle":           "3047ade4b2d391f35029f8deec4d559450023f0210d880e3048d753b900ace5b",
+	"mxs/jack/standby2":       "45d8cdaa85c842766f7c2e0e05bfdc236b8c428f7542cd11a87f15a815ebc1fa",
+	"mxs/jack/standby4":       "c078df3eae873440b5a49502d07c45ac1f40390f72293e2211ca5e32ac113de4",
 }
 
 // checkResultPin fails unless b hashes to the pin for key.
