@@ -133,7 +133,7 @@ sum_h:  .half 0x8000
 		t.Fatalf("sum = %d", c.GPR[isa.RegT2])
 	}
 	// The store landed in physical memory (array is in kseg0).
-	arrayPA := 0x80020000 + 0 // resolved below via symbol if needed
+	arrayPA := uint32(0x80020000 + 0) // resolved below via symbol if needed
 	_ = arrayPA
 	_ = bus
 	if c.GPR[isa.RegT5] != 0xFFFFFF80 || c.GPR[isa.RegT6] != 0x80 {

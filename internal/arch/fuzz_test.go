@@ -216,7 +216,7 @@ func FuzzStepFastVsExact(f *testing.F) {
 	}
 	f.Add(int64(7), []byte(nil), uint16(700))
 	for i, sc := range fzScenarios {
-		p, err := isa.Assemble(fmt.Sprintf(".org %#x\n%s", isa.KSEG0Base+fzStart, sc.src))
+		p, err := isa.Assemble(fmt.Sprintf(".org %#x\n%s", uint32(isa.KSEG0Base+fzStart), sc.src))
 		if err != nil {
 			f.Fatalf("scenario %q: %v", sc.name, err)
 		}

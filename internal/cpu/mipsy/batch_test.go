@@ -309,7 +309,7 @@ func lsImage(tb testing.TB, seed int64, src string) []byte {
 		copy(code[seg.Addr-isa.KSEG0Base:], seg.Data)
 	}
 	if src != "" {
-		p, err := isa.Assemble(fmt.Sprintf(".org %#x\n%s", isa.KSEG0Base+lsStart, src))
+		p, err := isa.Assemble(fmt.Sprintf(".org %#x\n%s", uint32(isa.KSEG0Base+lsStart), src))
 		if err != nil {
 			tb.Fatal(err)
 		}

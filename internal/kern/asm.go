@@ -38,7 +38,7 @@ func Source() string {
 		KSEG1(DiskCmd), KSEG1(DiskSector), KSEG1(DiskCount), KSEG1(DiskDMA),
 		KSEG1(DiskStatus), KSEG1(DiskAck),
 		KSEG1(TimerInterval), KSEG1(TimerAck),
-		0x8000_0000+PhysBootInfo, Kseg2PTBase, UserStackTop, UserStackLo,
+		uint32(0x8000_0000+PhysBootInfo), uint32(Kseg2PTBase), UserStackTop, UserStackLo,
 		PhysKernHeap, PhysUserPool,
 		AnnSvcTLBMiss, AnnSvcDemandZero, AnnSvcDuPoll)
 
