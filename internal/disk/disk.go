@@ -194,6 +194,9 @@ type Disk struct {
 	// SubmitCycles records the submission time of every request
 	// (diagnostics for gap analysis).
 	SubmitCycles []uint64
+
+	// rec, when non-nil, receives every command (Record).
+	rec *Recording
 }
 
 // ScrubImage re-zeroes every written page of the disk image, restoring the
@@ -323,6 +326,14 @@ func (d *Disk) schedule(now uint64, seq []phase) {
 // submit while Busy. It returns the cycle at which the request will
 // complete.
 func (d *Disk) Submit(cycle uint64, req Request) (uint64, error) {
+	done, err := d.submit(cycle, req)
+	if d.rec != nil {
+		d.rec.Commands = append(d.rec.Commands, Command{Cycle: cycle, Req: req, Refused: err != nil, Done: done})
+	}
+	return done, err
+}
+
+func (d *Disk) submit(cycle uint64, req Request) (uint64, error) {
 	d.Advance(cycle)
 	if d.busy {
 		return 0, fmt.Errorf("disk: submit while busy")
@@ -434,6 +445,14 @@ func (d *Disk) complete(cycle uint64) {
 // Sleep puts the disk into its lowest-power mode via explicit command
 // (paper: "The disk transitions to this state via an explicit command").
 func (d *Disk) Sleep(cycle uint64) error {
+	err := d.sleep(cycle)
+	if d.rec != nil {
+		d.rec.Commands = append(d.rec.Commands, Command{Cycle: cycle, Sleep: true, Refused: err != nil})
+	}
+	return err
+}
+
+func (d *Disk) sleep(cycle uint64) error {
 	if d.busy {
 		return fmt.Errorf("disk: sleep while busy")
 	}
@@ -482,6 +501,9 @@ func (d *Disk) Release() { d.img.Release() }
 // FinishEnergy integrates energy through endCycle and returns the total.
 // Call once at the end of simulation.
 func (d *Disk) FinishEnergy(endCycle uint64) float64 {
+	if d.rec != nil {
+		d.rec.End = endCycle
+	}
 	d.Advance(endCycle)
 	d.setState(d.state, endCycle)
 	return d.energyJ

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -347,4 +348,94 @@ func TestImageScrubAndPoolReuse(t *testing.T) {
 		t.Fatal("released image not reused by the next disk of its capacity")
 	}
 	allZero("re-acquired from the pool", d)
+}
+
+// step is one guest command: a request (or, with sleep, a sleep command)
+// issued gap cycles after the previous request completed. A busy step is
+// issued one cycle after the previous request was submitted, so the disk
+// refuses it.
+type step struct {
+	gap         uint64
+	sleep, busy bool
+}
+
+// drive issues steps the way a guest does, waiting for each completion
+// and polling the disk in between, and returns each command's completion
+// cycle (0 when refused or a sleep) and the run's end.
+func drive(d *Disk, steps []step) (dones []uint64, end uint64) {
+	var t, submitted uint64
+	for i, s := range steps {
+		at := t + s.gap
+		if s.busy {
+			at = submitted + 1
+		} else {
+			d.Advance(at)
+		}
+		var done uint64
+		if s.sleep {
+			_ = d.Sleep(at)
+		} else if c, err := d.Submit(at, Request{Sector: uint32(i * 2048), Count: 8}); err == nil {
+			done, submitted, t = c, at, c
+		}
+		dones = append(dones, done)
+	}
+	return dones, t + 1000
+}
+
+// TestReplayMatchesDirectRun records a conventional disk under a command
+// script and replays it under every policy. Where the policy's own run
+// completes every request on the recorded cycle, the replay must accept
+// and reproduce that run's energy and statistics exactly; where a request
+// meets a spun-down disk, it must refuse.
+func TestReplayMatchesDirectRun(t *testing.T) {
+	const ms = 200_000 // one scaled second in cycles
+	scripts := map[string][]step{
+		"short-gaps": {{gap: 10}, {gap: ms / 2}, {busy: true}, {gap: ms}, {gap: 100}},
+		"sleep":      {{gap: 10}, {gap: 50, sleep: true}, {gap: 1000}, {busy: true, sleep: true}, {gap: ms}},
+		"long-gap":   {{gap: 10}, {gap: 3 * ms}, {gap: 100}},
+		"very-long":  {{gap: 10}, {gap: 12 * ms}, {gap: 100}},
+	}
+	policies := map[string]Config{
+		"conventional": cfg(PolicyConventional, 0),
+		"idle":         cfg(PolicyIdle, 0),
+		"standby2":     cfg(PolicyStandby, 2),
+		"standby4":     cfg(PolicyStandby, 4),
+	}
+	accepted := map[string]bool{}
+	for name, steps := range scripts {
+		ref := New(cfg(PolicyConventional, 0), nil)
+		rec := ref.Record()
+		refDones, end := drive(ref, steps)
+		ref.FinishEnergy(end)
+		ref.Release()
+		for pol, c := range policies {
+			d := New(c, nil)
+			dones, _ := drive(d, steps)
+			wantE, wantSt := d.FinishEnergy(end), d.Stats()
+			d.Release()
+			same := fmt.Sprint(dones) == fmt.Sprint(refDones)
+			e, st, ok := Replay(c, rec)
+			if ok != same {
+				t.Errorf("%s/%s: replay ok=%v, but the policy's own run completes %v against %v",
+					name, pol, ok, dones, refDones)
+				continue
+			}
+			if ok && (e != wantE || st != wantSt) {
+				t.Errorf("%s/%s: replay ends with %v J %+v, the policy's own run %v J %+v",
+					name, pol, e, st, wantE, wantSt)
+			}
+			accepted[name+"/"+pol] = ok
+		}
+	}
+	// The scripts must exercise both outcomes.
+	for _, k := range []string{"short-gaps/standby2", "sleep/standby4", "very-long/idle"} {
+		if !accepted[k] {
+			t.Errorf("%s: want the replay accepted", k)
+		}
+	}
+	for _, k := range []string{"long-gap/standby2", "very-long/standby2", "very-long/standby4"} {
+		if accepted[k] {
+			t.Errorf("%s: want the replay refused", k)
+		}
+	}
 }

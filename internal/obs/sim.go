@@ -46,6 +46,9 @@ type BatchMetrics struct {
 	QueueDepth  *Gauge
 	CellsDone   *Counter
 	CellsFailed *Counter
+	// CellsDerived counts cells whose result RunBatch derived from their
+	// disk-policy class's conventional run instead of simulating them.
+	CellsDerived *Counter
 	// CellSeconds observes each simulated cell's wall time.
 	CellSeconds *Histogram
 	// LogCacheHits/Misses count run-log cache outcomes (BatchOptions.LogDir).
@@ -89,6 +92,8 @@ func Batch() *BatchMetrics {
 				"Batch cells finished (success or failure).", ""),
 			CellsFailed: def.Counter("softwatt_batch_cells_failed_total",
 				"Batch cells that finished with an error.", ""),
+			CellsDerived: def.Counter("softwatt_cells_derived_total",
+				"Batch cells derived from their class's conventional run by disk replay, not simulated.", ""),
 			CellSeconds: def.Histogram("softwatt_batch_cell_seconds",
 				"Wall time per batch cell.", "", cellSecondsBounds),
 			LogCacheHits: def.Counter("softwatt_logcache_hits_total",

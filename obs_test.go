@@ -9,6 +9,7 @@ package softwatt
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"softwatt/internal/obs"
@@ -172,5 +173,20 @@ func TestSampledRunPublishesSimCycles(t *testing.T) {
 				t.Errorf("published cycles = %d, the run simulated %d", got, want)
 			}
 		})
+	}
+}
+
+// TestDerivedCellsMetricHelp pins the /metrics exposition of the counter
+// that shows how many batch cells were derived rather than simulated.
+func TestDerivedCellsMetricHelp(t *testing.T) {
+	obs.Batch()
+	var b strings.Builder
+	if err := obs.Default().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP softwatt_cells_derived_total Batch cells derived from their class's conventional run by disk replay, not simulated.\n" +
+		"# TYPE softwatt_cells_derived_total counter\n"
+	if !strings.Contains(b.String(), want) {
+		t.Errorf("/metrics lacks\n%s", want)
 	}
 }

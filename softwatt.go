@@ -19,6 +19,7 @@ package softwatt
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"softwatt/internal/core"
@@ -165,31 +166,37 @@ func (o Options) MachineConfig() (machine.Config, error) {
 
 // Run simulates one named benchmark to completion and returns its results.
 func Run(benchmark string, opt Options) (*RunResult, error) {
-	return run(benchmark, opt, 0)
+	r, _, err := run(benchmark, opt, 0, false)
+	return r, err
 }
 
 // run is Run on an explicit trace track: tid 0 for direct calls, the
 // worker's track for batch cells. Each pipeline phase (workload build,
 // machine boot, simulation, estimation) is a span; with no tracer
 // installed every span is inert and the function is byte-for-byte the old
-// Run.
-func run(benchmark string, opt Options, tid int64) (*RunResult, error) {
+// Run. With record set, a successful run also returns the reference its
+// disk-policy class derives from.
+func run(benchmark string, opt Options, tid int64, record bool) (*RunResult, *reference, error) {
 	cfg, err := opt.MachineConfig()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp := obs.StartSpan(tid, "build "+benchmark, "build")
 	w, err := workload.Build(benchmark)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp = obs.StartSpan(tid, "boot "+benchmark, "boot")
 	sp.Arg("core", cfg.Core.String())
 	m, err := machine.New(cfg, w)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	var rec *disk.Recording
+	if record {
+		rec = m.Disk().Record()
 	}
 	// Collect copies everything out of the machine, so on every path its
 	// 128 MB RAM goes back to the pool for the next run in this process.
@@ -213,10 +220,10 @@ func run(benchmark string, opt Options, tid int64) (*RunResult, error) {
 	sp.Arg("cycles", fmt.Sprint(m.Cycle()))
 	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("softwatt: %s: %w (console: %q)", benchmark, err, m.Console())
+		return nil, nil, fmt.Errorf("softwatt: %s: %w (console: %q)", benchmark, err, m.Console())
 	}
 	if m.ExitCode() != 0 {
-		return nil, fmt.Errorf("softwatt: %s exited with code %d (console: %q)",
+		return nil, nil, fmt.Errorf("softwatt: %s exited with code %d (console: %q)",
 			benchmark, m.ExitCode(), m.Console())
 	}
 	sp = obs.StartSpan(tid, "estimate "+benchmark, "estimate")
@@ -226,7 +233,11 @@ func run(benchmark string, opt Options, tid int64) (*RunResult, error) {
 		r.EProfShift = ep.Shift()
 	}
 	sp.End()
-	return r, nil
+	var ref *reference
+	if record {
+		ref = &reference{cfg: m.Config(), rec: rec, res: r}
+	}
+	return r, ref, nil
 }
 
 // BatchOptions configure how a batch of independent simulations executes.
@@ -243,15 +254,15 @@ type BatchOptions struct {
 	// cell's label (e.g. "jess/standby2"), and its error (nil on success)
 	// — so a CLI can print failing cells as they fail instead of at the
 	// end of the sweep. Cache hits count as finished before any cell
-	// simulates.
+	// simulates; derived cells (RunBatch) count like simulated ones.
 	Progress func(done, total int, label string, err error)
 	// OnResult, when non-nil, is called from the worker goroutine as soon
 	// as a cell's simulation succeeds, before the batch returns — this is
 	// how the CLIs write one run log per cell as the parallel engine
 	// completes it. index is the cell's input-order position. Calls for
 	// different cells may be concurrent. A returned error marks the cell
-	// failed. Cells loaded from LogDir do not simulate, so OnResult does
-	// not fire for them.
+	// failed. It fires for derived cells too (RunBatch). Cells loaded
+	// from LogDir do not simulate, so OnResult does not fire for them.
 	OnResult func(index int, label string, r *RunResult) error
 	// LogDir, when non-empty, is a directory of saved run logs acting as a
 	// simulation cache. A cell whose log is present (matched by
@@ -288,12 +299,35 @@ func validateBenchmark(benchmark string) error {
 // are in input order; failed cells are nil and aggregated into a
 // *BatchError.
 //
+// Cells of a disk-policy class derive from its conventional run where the
+// disk replay allows (derive.go). The engine picks cells up in job order,
+// so the references and the cells outside any class are queued first and
+// the members after them: by the time a member waits for its reference,
+// every reference has been picked up, and none waits on anything.
+//
 // When a tracer is installed, each cell becomes a span on its worker's
 // track: the engine's OnStart hook records which worker picked the cell up
 // (the job body runs on that same goroutine, so the read needs no lock),
 // and the run pipeline's phase spans nest underneath. Worker tracks are
 // tid 1..Workers; tid 0 is the direct-call track.
 func runBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
+	refOf := diskClasses(specs)
+	order := make([]int, 0, len(specs)) // job index -> spec index
+	for _, members := range []bool{false, true} {
+		for i, ref := range refOf {
+			if (ref >= 0 && ref != i) == members {
+				order = append(order, i)
+			}
+		}
+	}
+	refs := make([]*reference, len(specs))
+	ready := make([]chan struct{}, len(specs))
+	for i, ref := range refOf {
+		if ref == i {
+			ready[i] = make(chan struct{})
+		}
+	}
+
 	workerOf := make([]int64, len(specs))
 	ro := runner.Options{Workers: b.Workers, Progress: b.Progress}
 	if tr := obs.ActiveTracer(); tr != nil {
@@ -304,14 +338,31 @@ func runBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
 		}
 	}
 	jobs := make([]runner.Job[*RunResult], len(specs))
-	for i, sp := range specs {
+	for j, i := range order {
+		sp := specs[i]
 		label := sp.label()
-		jobs[i] = runner.Job[*RunResult]{
+		jobs[j] = runner.Job[*RunResult]{
 			Label: label,
 			Run: func() (*RunResult, error) {
-				tid := workerOf[i]
+				tid := workerOf[j]
 				span := obs.StartSpan(tid, label, "cell")
-				r, err := run(sp.Benchmark, sp.Options, tid)
+				var r *RunResult
+				var err error
+				switch ref := refOf[i]; {
+				case ref == i:
+					func() {
+						defer close(ready[i]) // on a panic too
+						r, refs[i], err = run(sp.Benchmark, sp.Options, tid, true)
+					}()
+				case ref >= 0:
+					<-ready[ref]
+					if refs[ref] != nil {
+						r = derive(refs[ref], sp.Options, tid, label)
+					}
+				}
+				if r == nil && err == nil {
+					r, _, err = run(sp.Benchmark, sp.Options, tid, false)
+				}
 				if err == nil && b.OnResult != nil {
 					ssp := obs.StartSpan(tid, "save "+label, "save")
 					err = b.OnResult(i, label, r)
@@ -326,7 +377,18 @@ func runBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
 			},
 		}
 	}
-	return runner.Map(jobs, ro)
+	res, err := runner.Map(jobs, ro)
+	results := make([]*RunResult, len(specs))
+	for j, i := range order {
+		results[i] = res[j]
+	}
+	if be, ok := err.(*BatchError); ok {
+		for _, je := range be.Jobs {
+			je.Index = order[je.Index]
+		}
+		sort.Slice(be.Jobs, func(a, b int) bool { return be.Jobs[a].Index < be.Jobs[b].Index })
+	}
+	return results, err
 }
 
 // NewEstimator returns an estimator over the paper's Table 1 power model.
