@@ -394,6 +394,9 @@ func TestReplayMatchesDirectRun(t *testing.T) {
 		"sleep":      {{gap: 10}, {gap: 50, sleep: true}, {gap: 1000}, {busy: true, sleep: true}, {gap: ms}},
 		"long-gap":   {{gap: 10}, {gap: 3 * ms}, {gap: 100}},
 		"very-long":  {{gap: 10}, {gap: 12 * ms}, {gap: 100}},
+		// The last request spins up: no later command is refused, so only
+		// its completion cycle tells the runs apart.
+		"spinup-last": {{gap: 10}, {gap: 3 * ms}},
 	}
 	policies := map[string]Config{
 		"conventional": cfg(PolicyConventional, 0),
@@ -433,7 +436,7 @@ func TestReplayMatchesDirectRun(t *testing.T) {
 			t.Errorf("%s: want the replay accepted", k)
 		}
 	}
-	for _, k := range []string{"long-gap/standby2", "very-long/standby2", "very-long/standby4"} {
+	for _, k := range []string{"long-gap/standby2", "very-long/standby2", "very-long/standby4", "spinup-last/standby2"} {
 		if accepted[k] {
 			t.Errorf("%s: want the replay refused", k)
 		}
