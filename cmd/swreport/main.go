@@ -91,6 +91,9 @@ func main() {
 		if err != nil {
 			cli.Fail(fmt.Errorf("experiment %s: %v", id, err))
 		}
+		// Results no later report needs can be collected, which keeps
+		// the sampled s1 run from peaking on top of the whole suite.
+		results[i] = nil
 	}
 }
 
