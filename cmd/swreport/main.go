@@ -1,9 +1,10 @@
 // Command swreport regenerates the paper's evaluation artifacts. Each
 // experiment id selects one table or figure (see DESIGN.md §4); -exp all
-// runs the whole set. Multi-run experiments (the all-benchmark passes and
-// the Figure 9 sweep) fan their independent simulations out over a worker
-// pool (-j) with per-cell progress on stderr; report output is unchanged
-// by the worker count.
+// runs the whole set. Every id is checked first; then the cells of all
+// requested experiments, each configuration once, run as one batch over
+// a worker pool (-j) with per-cell progress on stderr, and the reports
+// render in the requested order. Report output is unchanged by the worker
+// count.
 //
 // With -logs, every simulation goes through a run-log cache in the given
 // directory: cells whose saved log matches the requested configuration

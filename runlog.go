@@ -112,6 +112,9 @@ func CacheFileName(spec RunSpec) (string, error) {
 // slice still holds every successful cell (failed cells are nil) and the
 // error is a *BatchError listing each failure, indexed in spec order.
 // With b.LogDir set, cells go through the run-log cache (BatchOptions).
+// Of the cells it simulates, those that differ only in DiskPolicy run
+// once: the others derive from the conventional cell's disk commands
+// unless their disk would spin up (DESIGN.md §17).
 func RunBatch(specs []RunSpec, b BatchOptions) ([]*RunResult, error) {
 	digests := make([]string, len(specs))
 	for i, sp := range specs {
