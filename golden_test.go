@@ -220,6 +220,65 @@ var resultPins = map[string]string{
 	"mxs/jack/standby4":       "c078df3eae873440b5a49502d07c45ac1f40390f72293e2211ca5e32ac113de4",
 }
 
+// timelinePins are the SHA-256 digests of the TLIN section (the power
+// timeline) of every policyGrid cell run with timelinePinCycles, keyed by
+// the cell's label. Each was taken from a full simulation of its cell, so
+// TestDiskPolicyGrid checks the timelines of derived cells against runs
+// that were not derived. The interval is deliberately not a whole number
+// of sample windows.
+const timelinePinCycles = 1_000_001
+
+var timelinePins = map[string]string{
+	"mipsy/compress/conventional": "37ea42f18f7a910082431d9c90582bac31d726a4a38466c41ee8a7baadf5b64e",
+	"mipsy/compress/idle":         "2209385a06d006de341e14ceb240797706cfc3abeb0c6f4aba99ea08be80030a",
+	"mipsy/compress/standby2":     "faf2300eb16f120c064242d6d273db3c71b5b65e14bdaacffac5c56c79abc0a3",
+	"mipsy/compress/standby4":     "2209385a06d006de341e14ceb240797706cfc3abeb0c6f4aba99ea08be80030a",
+	"mipsy/jess/conventional":     "0dbad20836a7f67b0f09221bf79bf28a5da833b4f7eab6711bcd12c19a9f396d",
+	"mipsy/jess/idle":             "85e510200a083ae526b9ecb2f295500d377ce4b00e5674ded1a582806b7bd507",
+	"mipsy/jess/standby2":         "85e510200a083ae526b9ecb2f295500d377ce4b00e5674ded1a582806b7bd507",
+	"mipsy/jess/standby4":         "85e510200a083ae526b9ecb2f295500d377ce4b00e5674ded1a582806b7bd507",
+	"mipsy/db/conventional":       "3d6f8ae849a9f753416c424a96d64cf7de50c379921a29ed385e30232664b760",
+	"mipsy/db/idle":               "288690c0038844b6f92eced66c6aa6b6757eb97117a12605da3859f9455739ce",
+	"mipsy/db/standby2":           "288690c0038844b6f92eced66c6aa6b6757eb97117a12605da3859f9455739ce",
+	"mipsy/db/standby4":           "288690c0038844b6f92eced66c6aa6b6757eb97117a12605da3859f9455739ce",
+	"mipsy/javac/conventional":    "5a1388b9a36dc9aae46b2dc1d9c03188ac26a59992775d9a0627efad0b298e3d",
+	"mipsy/javac/idle":            "9e1dd60499de4a1e0766b66037dbde0bcebba5c94b36da73e204e2ac03f07c21",
+	"mipsy/javac/standby2":        "e2693b55533fc3066283dd827668a7cc92f68b52578e1d1b953dc9f0ec740b17",
+	"mipsy/javac/standby4":        "9e1dd60499de4a1e0766b66037dbde0bcebba5c94b36da73e204e2ac03f07c21",
+	"mipsy/mtrt/conventional":     "5b8c2f9f942fd07bfa271cdad4defef97e35d7d7885e8986e2b40ce78e560a4a",
+	"mipsy/mtrt/idle":             "8de8ba882653a78ded93d85722d4f6c2af3bf8f80b2dc12f28f59eba90b556ff",
+	"mipsy/mtrt/standby2":         "aa0c59757afd2245902a2f97f3222967543772f13759c9761b7dce4b9f6b4a77",
+	"mipsy/mtrt/standby4":         "e9b53f49eecd1b81a9da5a29d54c444c587374b7d136f76200195dd3280974f4",
+	"mipsy/jack/conventional":     "080218cd241a58958092cfd6e78a5f260b1763914fa64c969397c364c8dbd41a",
+	"mipsy/jack/idle":             "9364724d03bc2fcd8861385152e063c3d4613ce4a0aacdd97a1e1b643feba779",
+	"mipsy/jack/standby2":         "bd4f838008dd5e84225c5902e154b5d96e3c41240ecd3d04f6ce3017a1933606",
+	"mipsy/jack/standby4":         "41c9a265064181fa71e44e7a03ef5c58d7e7c96cda1bbe735eb01c942a64ad12",
+	"mxs/compress/conventional":   "6df29c82057728174be972145a8ca95c1993976671fda79077a322af73da09ff",
+	"mxs/compress/idle":           "4df78de84bcf0c49b940218bf7c02dd449ed1f64388eb8049b06a9267104137c",
+	"mxs/compress/standby2":       "4df78de84bcf0c49b940218bf7c02dd449ed1f64388eb8049b06a9267104137c",
+	"mxs/compress/standby4":       "4df78de84bcf0c49b940218bf7c02dd449ed1f64388eb8049b06a9267104137c",
+	"mxs/jess/conventional":       "73ca07f5b6d3a218d1d839c2d40ad061738128ed19959e8e913ce430418a73aa",
+	"mxs/jess/idle":               "c1f35d00b5d77cd6878b98584fc74c7135be670827787e9106672673b429aceb",
+	"mxs/jess/standby2":           "c1f35d00b5d77cd6878b98584fc74c7135be670827787e9106672673b429aceb",
+	"mxs/jess/standby4":           "c1f35d00b5d77cd6878b98584fc74c7135be670827787e9106672673b429aceb",
+	"mxs/db/conventional":         "98ddcc51ab1730b960031a674b1097af56e76e04301e39e512c93804eaf69597",
+	"mxs/db/idle":                 "9c03acf53072f9adc72eebc0ebcba10f0a171a1b41e7852a5dc04cac723dc137",
+	"mxs/db/standby2":             "9c03acf53072f9adc72eebc0ebcba10f0a171a1b41e7852a5dc04cac723dc137",
+	"mxs/db/standby4":             "9c03acf53072f9adc72eebc0ebcba10f0a171a1b41e7852a5dc04cac723dc137",
+	"mxs/javac/conventional":      "e008dc1e375acdeb4c8b26d22ceca938974e38a57f4810e97f6100ab16e2ec04",
+	"mxs/javac/idle":              "775879bcc4e6d87667467503356af6a9b5b181029084f152808191a88a139eb4",
+	"mxs/javac/standby2":          "87792d1fd5b10f395ecccc67ce30e34ce120fcb27e07bbba652d15a3f59f1312",
+	"mxs/javac/standby4":          "775879bcc4e6d87667467503356af6a9b5b181029084f152808191a88a139eb4",
+	"mxs/mtrt/conventional":       "fe2ae2f7a35e69e2fa96fa42fc0c34dbea3b361dda93c7e53f7a1cecbe1d4539",
+	"mxs/mtrt/idle":               "4a6610c2e54fcb18316107e3275c12c712e30054c10887dd813619e69a11f19d",
+	"mxs/mtrt/standby2":           "9371ea42ba5d3276fbd2f9dd42eedfc0804dddc8d5c033a6bd98172d81087b25",
+	"mxs/mtrt/standby4":           "bf54bc0b20099fb2e4ed6a2ce50a4bec6e55fe54ea19d50bfbdc2e84fb06fb12",
+	"mxs/jack/conventional":       "6036a849a82c392272937ee4ee6967e85b63b9bf57c71a09c1e4d42ac99b9d98",
+	"mxs/jack/idle":               "7312ba7b3aa5296a433cc0b0271fa18a8ab6273e3c374668d0feed39ab892492",
+	"mxs/jack/standby2":           "255c19e017b0abfd52fa0e4f934e985b7778c81b6901916eed1b87d3634cb113",
+	"mxs/jack/standby4":           "bf35f2307d715a22e10d766f727f7b6d0fcecddccb808c0d17d7310489a6952a",
+}
+
 // checkResultPin fails unless b hashes to the pin for key.
 func checkResultPin(t *testing.T, key string, b []byte) {
 	t.Helper()
