@@ -209,6 +209,14 @@ func (d *Disk) ScrubImage() { d.img.Scrub() }
 // New creates a disk. onComplete is called at request completion time to
 // perform DMA and raise the interrupt; it may be nil for standalone tests.
 func New(cfg Config, onComplete func(Request)) *Disk {
+	d := newDisk(cfg)
+	d.img, d.onComplete = mem.NewRAM(d.cfg.CapacityBytes), onComplete
+	return d
+}
+
+// newDisk creates a disk with no image: the power-mode state machine and
+// the request timing, which is all a replay uses.
+func newDisk(cfg Config) *Disk {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1000
 	}
@@ -221,11 +229,7 @@ func New(cfg Config, onComplete func(Request)) *Disk {
 	if cfg.CapacityBytes <= 0 {
 		cfg.CapacityBytes = 8 << 20
 	}
-	d := &Disk{
-		cfg:        cfg,
-		img:        mem.NewRAM(cfg.CapacityBytes),
-		onComplete: onComplete,
-	}
+	d := &Disk{cfg: cfg}
 	if cfg.Policy == PolicyConventional {
 		d.state = StateActive
 	} else {
@@ -343,7 +347,7 @@ func (d *Disk) submit(cycle uint64, req Request) (uint64, error) {
 	// 32 bits, letting a hostile request pass a narrower check and panic
 	// the host on the image slice.
 	end := (uint64(req.Sector) + uint64(req.Count)) * SectorSize
-	if req.Count == 0 || end > uint64(d.img.Size()) {
+	if req.Count == 0 || end > uint64(d.cfg.CapacityBytes) {
 		return 0, fmt.Errorf("disk: request out of range (sector %d count %d)", req.Sector, req.Count)
 	}
 	d.cancelScheduledSpindown()
@@ -378,7 +382,7 @@ func (d *Disk) submit(cycle uint64, req Request) (uint64, error) {
 		dist = -dist
 	}
 	d.lastCyl = cyl
-	maxCyl := float64(d.img.Size() / SectorSize / sectorsPerCyl)
+	maxCyl := float64(d.cfg.CapacityBytes / SectorSize / sectorsPerCyl)
 	if maxCyl < 1 {
 		maxCyl = 1
 	}

@@ -428,6 +428,21 @@ func TestReplayMatchesDirectRun(t *testing.T) {
 					name, pol, e, st, wantE, wantSt)
 			}
 			accepted[name+"/"+pol] = ok
+			// Reading the energy along the way changes nothing: a
+			// replayer read every 10k cycles ends where Replay does.
+			rp := NewReplayer(c, rec)
+			prev := 0.0
+			for at := uint64(0); at < rec.End; at += 10_000 {
+				got := rp.EnergyJ(at)
+				if got < prev {
+					t.Fatalf("%s/%s: energy falls from %v to %v J at cycle %d", name, pol, prev, got, at)
+				}
+				prev = got
+			}
+			if ie, ist, iok := rp.Finish(); ie != e || ist != st || iok != ok {
+				t.Errorf("%s/%s: read along the way, the replay ends with %v J %+v ok=%v, Replay %v J %+v ok=%v",
+					name, pol, ie, ist, iok, e, st, ok)
+			}
 		}
 	}
 	// The scripts must exercise both outcomes.

@@ -13,6 +13,8 @@ package disk
 // The recording is not machine state: EncodeState leaves it out, so
 // checkpoints and reservoirs do not change with it.
 
+import "math"
+
 // Command is one guest command the disk received.
 type Command struct {
 	Cycle uint64
@@ -46,24 +48,57 @@ func (d *Disk) Record() *Recording {
 // disk) or a command refused by one disk and accepted by the other; the
 // run under cfg would then not have executed like the recorded one.
 func Replay(cfg Config, rec *Recording) (energyJ float64, st Stats, ok bool) {
-	d := New(cfg, nil)
-	defer d.Release()
-	for _, c := range rec.Commands {
+	return NewReplayer(cfg, rec).Finish()
+}
+
+// Replayer is Replay a cycle at a time, on a fresh disk with no image. The
+// recording may grow between calls.
+type Replayer struct {
+	d   *Disk
+	rec *Recording
+	fed int  // commands fed so far
+	ok  bool // all answered as recorded
+}
+
+// NewReplayer starts a replay of rec under cfg.
+func NewReplayer(cfg Config, rec *Recording) *Replayer {
+	return &Replayer{d: newDisk(cfg), rec: rec, ok: true}
+}
+
+// feed applies the commands issued before cycle t, up to the first the
+// fresh disk answers differently.
+func (r *Replayer) feed(t uint64) {
+	for ; r.ok && r.fed < len(r.rec.Commands) && r.rec.Commands[r.fed].Cycle < t; r.fed++ {
+		c := r.rec.Commands[r.fed]
 		var done uint64
 		var err error
 		if c.Sleep {
 			if !c.Refused {
 				// The recorded disk accepted, so it had already retired
 				// its request; the fresh one retires it only on Advance.
-				d.Advance(c.Cycle)
+				r.d.Advance(c.Cycle)
 			}
-			err = d.Sleep(c.Cycle)
+			err = r.d.Sleep(c.Cycle)
 		} else {
-			done, err = d.Submit(c.Cycle, c.Req)
+			done, err = r.d.Submit(c.Cycle, c.Req)
 		}
-		if done != c.Done || (err != nil) != c.Refused {
-			return 0, Stats{}, false
-		}
+		r.ok = done == c.Done && (err != nil) == c.Refused
 	}
-	return d.FinishEnergy(rec.End), d.Stats(), true
+}
+
+// EnergyJ returns the disk's energy at cycle t, which must not precede an
+// earlier call's; it means something only if Finish reports ok.
+func (r *Replayer) EnergyJ(t uint64) float64 {
+	r.feed(t)
+	r.d.Advance(t)
+	return r.d.EnergyJ(t)
+}
+
+// Finish feeds the rest of the recording; its results are Replay's.
+func (r *Replayer) Finish() (energyJ float64, st Stats, ok bool) {
+	r.feed(math.MaxUint64)
+	if !r.ok {
+		return 0, Stats{}, false
+	}
+	return r.d.FinishEnergy(r.rec.End), r.d.Stats(), true
 }
