@@ -13,10 +13,10 @@ package softwatt
 //
 //   - TestClockSkipSafety: under randomized device latencies and event
 //     periods, the machine never advances past a pending device completion
-//     or a timeline/telemetry boundary. Overshooting a device event would
-//     shift an interrupt delivery and change the run bytes (checked against
-//     the per-cycle loop); overshooting a telemetry boundary would misalign
-//     the timeline points (checked structurally on all three cores).
+//     or a telemetry boundary. Overshooting a device event would shift an
+//     interrupt delivery and change the run bytes (checked against the
+//     per-cycle loop). The power timeline derived from the run's windows
+//     must partition it on whole windows (checked on all three cores).
 
 import (
 	"bytes"
@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"softwatt/internal/core"
+	"softwatt/internal/disk"
 	"softwatt/internal/machine"
 	"softwatt/internal/power"
 	"softwatt/internal/trace"
@@ -32,8 +33,9 @@ import (
 )
 
 // runConfigured boots cfg with the named workload and returns the collected
-// result, the recorded power timeline and the machine's committed count.
-func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip bool) (*RunResult, []trace.TimelinePoint, uint64) {
+// result, with its power timeline derived when interval is non-zero, and
+// the machine's committed count.
+func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip bool, interval uint64) (*RunResult, uint64) {
 	t.Helper()
 	w, err := workload.Build(bench)
 	if err != nil {
@@ -44,14 +46,19 @@ func runConfigured(t *testing.T, cfg machine.Config, bench string, disableSkip b
 		t.Fatal(err)
 	}
 	m.DisableSkip = disableSkip
+	rec := m.Disk().Record()
 	m.Collector().SetEnergyFn(power.Default().InvocationEnergy)
 	if err := m.Run(0); err != nil {
 		t.Fatalf("run %s (DisableSkip=%v): %v (console: %q)", bench, disableSkip, err, m.Console())
 	}
 	r := core.Collect(m, bench, cfg.Core.String())
-	tl, committed := m.Timeline(), m.Committed
+	if interval > 0 {
+		n := core.TimelineWindows(interval, m.Collector().WindowCycles)
+		r.Timeline, _, _, _ = core.Timeline(r.Samples, n, disk.NewReplayer(m.Config().Disk, rec))
+	}
+	committed := m.Committed
 	m.Release()
-	return r, tl, committed
+	return r, committed
 }
 
 // TestTickBatchRunEquivalence runs every workload on both detailed cores
@@ -71,8 +78,8 @@ func TestTickBatchRunEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				batched, _, bc := runConfigured(t, cfg, bench, false)
-				percycle, _, pc := runConfigured(t, cfg, bench, true)
+				batched, bc := runConfigured(t, cfg, bench, false, 0)
+				percycle, pc := runConfigured(t, cfg, bench, true, 0)
 				if bc != pc {
 					t.Errorf("machine committed count: batched=%d per-cycle=%d", bc, pc)
 				}
@@ -88,10 +95,10 @@ func TestTickBatchRunEquivalence(t *testing.T) {
 	}
 }
 
-// checkTimeline asserts no recorded point overshoots its boundary: every
-// interval ends exactly where the next begins, interior intervals span
-// exactly the effective timeline period, and every interior boundary lands
-// on a whole sample window (the machine rounds the period up to one).
+// checkTimeline asserts the timeline's points sit on their boundaries:
+// every interval ends exactly where the next begins, interior intervals
+// span exactly the effective timeline period, and every interior boundary
+// lands on a whole sample window (the period rounds up to one).
 func checkTimeline(t *testing.T, tl []trace.TimelinePoint, window uint64) {
 	t.Helper()
 	if len(tl) < 2 {
@@ -118,8 +125,9 @@ func checkTimeline(t *testing.T, tl []trace.TimelinePoint, window uint64) {
 // and power-mode time scales), timer periods, sample windows and timeline
 // periods, on all three cores. The detailed cores must stay bit-identical
 // to per-cycle ticking — any clock skip past a pending disk completion or
-// timer tick shifts an interrupt and changes the bytes — and every core's
-// timeline must land exactly on its boundaries.
+// timer tick shifts an interrupt and changes the bytes, derived timeline
+// included — and every core's timeline must land exactly on its
+// boundaries.
 func TestClockSkipSafety(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized full-run property test skipped in -short mode")
@@ -137,14 +145,14 @@ func TestClockSkipSafety(t *testing.T) {
 				cfg.Disk.TimeScale = 200 + float64(rng.Intn(1800))
 				cfg.TimerCycles = uint32(30_000 + rng.Intn(120_000))
 				cfg.WindowCycles = uint64(5_000 + rng.Intn(35_000))
-				cfg.TimelineCycles = uint64(50_000 + rng.Intn(200_000))
+				interval := uint64(50_000 + rng.Intn(200_000))
 
-				batched, tl, _ := runConfigured(t, cfg, "compress", false)
-				checkTimeline(t, tl, cfg.WindowCycles)
+				batched, _ := runConfigured(t, cfg, "compress", false, interval)
+				checkTimeline(t, batched.Timeline, cfg.WindowCycles)
 				if coreName == "swift" {
 					return // no per-cycle oracle for the batch core
 				}
-				percycle, _, _ := runConfigured(t, cfg, "compress", true)
+				percycle, _ := runConfigured(t, cfg, "compress", true, interval)
 				bb, pb := resultBytes(t, batched), resultBytes(t, percycle)
 				if !bytes.Equal(bb, pb) {
 					t.Fatalf("randomized-latency run diverges from per-cycle: %d vs %d bytes, first difference at byte %d",

@@ -31,25 +31,21 @@ type reference struct {
 // its class derives from: its own index for that reference, -1 for a cell
 // outside any class. A class is the set of specs that differ only in
 // DiskPolicy; one without a conventional member, or with no other member,
-// has no reference. A spec with TimelineCycles set is in no class: its
-// timeline carries disk energy at every point.
+// has no reference.
 func diskClasses(specs []RunSpec) []int {
 	type class struct {
 		benchmark string
 		opt       Options
 	}
-	classOf := func(sp RunSpec) (class, bool) {
+	classOf := func(sp RunSpec) class {
 		o := sp.Options
 		o.DiskPolicy = ""
-		return class{sp.Benchmark, o}, o.TimelineCycles == 0
+		return class{sp.Benchmark, o}
 	}
 	refs := map[class]int{}
 	members := map[class]int{}
 	for i, sp := range specs {
-		c, ok := classOf(sp)
-		if !ok {
-			continue
-		}
+		c := classOf(sp)
 		members[c]++
 		if _, seen := refs[c]; !seen && (sp.Options.DiskPolicy == "" || sp.Options.DiskPolicy == "conventional") {
 			refs[c] = i
@@ -58,10 +54,8 @@ func diskClasses(specs []RunSpec) []int {
 	refOf := make([]int, len(specs))
 	for i, sp := range specs {
 		refOf[i] = -1
-		if c, ok := classOf(sp); ok && members[c] > 1 {
-			if ref, ok := refs[c]; ok {
-				refOf[i] = ref
-			}
+		if ref, ok := refs[classOf(sp)]; ok && members[classOf(sp)] > 1 {
+			refOf[i] = ref
 		}
 	}
 	return refOf
@@ -69,8 +63,9 @@ func diskClasses(specs []RunSpec) []int {
 
 // derive returns the result a run of opt would produce, built from its
 // class's reference, or nil when the disk replay shows the run would have
-// executed differently. Each attempt is a "derive" span on track tid whose
-// outcome argument says which it was.
+// executed differently. Its timeline is the reference's points with each
+// point's disk energy from that replay. Each attempt is a "derive" span on
+// track tid whose outcome argument says which it was.
 func derive(ref *reference, opt Options, tid int64, label string) *RunResult {
 	mc, err := opt.MachineConfig()
 	if err != nil {
@@ -80,7 +75,8 @@ func derive(ref *reference, opt Options, tid int64, label string) *RunResult {
 	defer sp.End()
 	cfg := ref.cfg
 	cfg.Disk.Policy, cfg.Disk.SpindownThresholdSec = mc.Disk.Policy, mc.Disk.SpindownThresholdSec
-	energyJ, st, ok := disk.Replay(cfg.Disk, ref.rec)
+	n := core.TimelineWindows(opt.TimelineCycles, ref.cfg.WindowCycles)
+	tl, energyJ, st, ok := core.Timeline(ref.res.Samples, n, disk.NewReplayer(cfg.Disk, ref.rec))
 	if !ok {
 		sp.Arg("outcome", "diverged")
 		return nil
@@ -89,6 +85,6 @@ func derive(ref *reference, opt Options, tid int64, label string) *RunResult {
 	obs.Batch().CellsDerived.Inc()
 	r := *ref.res
 	r.Config = core.ConfigEntries(cfg)
-	r.DiskEnergyJ, r.DiskStats = energyJ, st
+	r.DiskEnergyJ, r.DiskStats, r.Timeline = energyJ, st, tl
 	return &r
 }

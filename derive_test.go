@@ -43,12 +43,13 @@ var divergedCells = []string{
 }
 
 // TestDiskPolicyGrid runs the 48-cell (core × workload × disk policy) grid
-// through one RunBatch and requires every cell's result bytes to match its
-// full-run pin. Each conventional cell is its class's reference; of the 36
-// other cells, the 25 whose disk replay matches the reference must be
-// derived (a "derive" span with outcome "derived", the derived-cells
-// counter, no published cycles) and the 11 that spin up must diverge and
-// simulate in full.
+// with a power timeline through one RunBatch. Every cell's timeline must
+// match its full-run pin (timelinePins), and its result bytes without the
+// timeline its full-run pin (resultPins). Each conventional cell is its
+// class's reference; of the 36 other cells, the 25 whose disk replay
+// matches the reference must be derived (a "derive" span with outcome
+// "derived", the derived-cells counter, no published cycles) and the 11
+// that spin up must diverge and simulate in full.
 func TestDiskPolicyGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("48-cell grid skipped in -short mode")
@@ -61,12 +62,18 @@ func TestDiskPolicyGrid(t *testing.T) {
 	derived0, cycles0 := obs.Batch().CellsDerived.Value(), obs.Sim().Cycles.Value()
 
 	specs := policyGrid()
+	for i := range specs {
+		specs[i].Options.TimelineCycles = timelinePinCycles
+	}
 	res, err := RunBatch(specs, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sp := range specs {
-		checkResultPin(t, gridPinKey(sp), resultBytes(t, res[i]))
+		checkTimelinePin(t, sp.Label, res[i])
+		bare := *res[i] // a copy: derived results share the reference's slices
+		bare.Timeline = nil
+		checkResultPin(t, gridPinKey(sp), resultBytes(t, &bare))
 	}
 
 	outcome := map[string]string{} // cell -> derive span outcome

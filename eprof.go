@@ -11,8 +11,10 @@ import (
 	"sort"
 
 	"softwatt/internal/core"
+	"softwatt/internal/disk"
 	"softwatt/internal/eprof"
 	"softwatt/internal/kern"
+	"softwatt/internal/machine"
 	"softwatt/internal/obs"
 	"softwatt/internal/power"
 	"softwatt/internal/trace"
@@ -107,17 +109,18 @@ func WriteEnergyProfileFile(path string, r *RunResult) error {
 // timelineComponents orders the per-component power gauge labels.
 var timelineComponents = [5]string{"cpu", "mem", "clock", "disk", "total"}
 
-// timelineExporter builds the machine's OnTimeline hook for one run: each
-// recorded point is converted to per-component and per-mode watts by
-// core.TimelinePointRow, the arithmetic swreport's timeline renders with,
-// and pushed to the /metrics gauges and the tracer's Perfetto counter
-// tracks. Returns nil when neither sink is active, so the machine records
-// the timeline without any per-point callback cost.
-func timelineExporter(model *power.Model, clockHz float64, tid int64) func(*trace.TimelinePoint) {
+// exportTimeline publishes m's power timeline live, to the /metrics
+// gauges and the tracer's Perfetto counter tracks: as each point's last
+// window flushes, a collector hook folds it and reads its DiskJ from a
+// replay of the live recording rec, as core.Timeline does after the run,
+// and core.TimelinePointRow turns it into watts, as swreport does. The
+// returned function publishes the derived points the hook could not: the
+// trailing partial one. With no interval or sink it publishes nothing.
+func exportTimeline(m *machine.Machine, rec *disk.Recording, interval uint64, model *power.Model, tid int64) (rest func([]trace.TimelinePoint)) {
 	tr := obs.ActiveTracer()
 	metricsOn := obs.MetricsEnabled()
-	if tr == nil && !metricsOn {
-		return nil
+	if interval == 0 || tr == nil && !metricsOn {
+		return func([]trace.TimelinePoint) {}
 	}
 	var comp [5]*obs.Gauge
 	var mode [trace.NumModes]*obs.Gauge
@@ -134,8 +137,9 @@ func timelineExporter(model *power.Model, clockHz float64, tid int64) func(*trac
 				obs.Label("mode", m.String()))
 		}
 	}
-	prevDiskJ := 0.0
-	return func(p *trace.TimelinePoint) {
+	clockHz, prevDiskJ, published := m.Config().ClockHz, 0.0, 0
+	export := func(p *trace.TimelinePoint) {
+		published++
 		row, ok := core.TimelinePointRow(model, p, float64(p.Start)/clockHz, float64(p.End)/clockHz, prevDiskJ)
 		if !ok {
 			return
@@ -157,6 +161,21 @@ func timelineExporter(model *power.Model, clockHz float64, tid int64) func(*trac
 			for m := trace.Mode(0); m < trace.NumModes; m++ {
 				tr.Counter(tid, "power "+m.String()+" (W)", row.ModeW[m])
 			}
+		}
+	}
+	col := m.Collector()
+	n := core.TimelineWindows(interval, col.WindowCycles)
+	rp := disk.NewReplayer(m.Config().Disk, rec)
+	col.OnWindow = func(s []trace.Sample) {
+		if k := uint64(len(s)); k%n == 0 {
+			p := core.FoldWindows(s[k-n:], n)[0]
+			p.DiskJ = rp.EnergyJ(p.End)
+			export(&p)
+		}
+	}
+	return func(tl []trace.TimelinePoint) {
+		for _, p := range tl[published:] {
+			export(&p)
 		}
 	}
 }

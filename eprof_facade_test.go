@@ -131,46 +131,66 @@ func TestEnergyProfileRejectsSwift(t *testing.T) {
 
 // TestTimelineCountersMatchRows: the live Perfetto power counters and the
 // swreport timeline come from one computation, so every "power … (W)"
-// counter a traced run emits must equal, exactly, the matching field of
-// the finished result's TimelineRows, point for point.
+// counter a traced run emits, the trailing partial point's included, must
+// equal, exactly, the matching field of the finished result's
+// TimelineRows, point for point. The cells cover both detailed cores and
+// a disk that spins up (jack under standby2).
 func TestTimelineCountersMatchRows(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full simulation run skipped in -short mode")
+		t.Skip("full simulation runs skipped in -short mode")
 	}
-	tr := obs.NewTracer()
-	obs.SetTracer(tr)
-	defer obs.SetTracer(nil)
-	r, err := Run("compress", Options{Core: "mipsy", TimelineCycles: 500_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, fromSamples := core.NewEstimator(power.Default()).TimelineRows(r)
-	if fromSamples || len(rows) < 2 {
-		t.Fatalf("run recorded %d timeline rows (from samples: %v), want a recorded timeline", len(rows), fromSamples)
-	}
-	want := map[string][]float64{}
-	for _, row := range rows {
-		for i, w := range []float64{row.CPUW, row.MemW, row.ClockW, row.DiskW, row.TotalW} {
-			name := "power " + timelineComponents[i] + " (W)"
-			want[name] = append(want[name], w)
-		}
-		for m := trace.Mode(0); m < trace.NumModes; m++ {
-			name := "power " + m.String() + " (W)"
-			want[name] = append(want[name], row.ModeW[m])
-		}
-	}
-	got := map[string][]float64{}
-	for _, ev := range tr.Events() {
-		if ev.Ph == "C" {
-			got[ev.Name] = append(got[ev.Name], ev.Args["value"].(float64))
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("traced %d power counter series, want %d", len(got), len(want))
-	}
-	for name, w := range want {
-		if !reflect.DeepEqual(got[name], w) {
-			t.Errorf("%s: counters %v, TimelineRows %v", name, got[name], w)
-		}
+	for _, tc := range []struct {
+		name, bench string
+		opt         Options
+	}{
+		{"mipsy/compress", "compress", Options{Core: "mipsy"}},
+		{"mxs/compress", "compress", Options{Core: "mxs"}},
+		{"mipsy/jack/standby2", "jack", Options{Core: "mipsy", DiskPolicy: "standby2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTracer()
+			obs.SetTracer(tr)
+			defer obs.SetTracer(nil)
+			tc.opt.TimelineCycles = 500_000
+			r, err := Run(tc.bench, tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.opt.DiskPolicy == "standby2" && r.DiskStats.Spinups == 0 {
+				t.Fatal("the disk never spins up: the cell covers nothing a conventional one does not")
+			}
+			if r.TotalCycles%tc.opt.TimelineCycles == 0 {
+				t.Fatal("the run ends on a point boundary: no trailing partial point")
+			}
+			rows, fromSamples := core.NewEstimator(power.Default()).TimelineRows(r)
+			if fromSamples || len(rows) < 2 {
+				t.Fatalf("run derived %d timeline rows (from samples: %v), want a timeline", len(rows), fromSamples)
+			}
+			want := map[string][]float64{}
+			for _, row := range rows {
+				for i, w := range []float64{row.CPUW, row.MemW, row.ClockW, row.DiskW, row.TotalW} {
+					name := "power " + timelineComponents[i] + " (W)"
+					want[name] = append(want[name], w)
+				}
+				for m := trace.Mode(0); m < trace.NumModes; m++ {
+					name := "power " + m.String() + " (W)"
+					want[name] = append(want[name], row.ModeW[m])
+				}
+			}
+			got := map[string][]float64{}
+			for _, ev := range tr.Events() {
+				if ev.Ph == "C" {
+					got[ev.Name] = append(got[ev.Name], ev.Args["value"].(float64))
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("traced %d power counter series, want %d", len(got), len(want))
+			}
+			for name, w := range want {
+				if !reflect.DeepEqual(got[name], w) {
+					t.Errorf("%s: counters %v, TimelineRows %v", name, got[name], w)
+				}
+			}
+		})
 	}
 }

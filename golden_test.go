@@ -288,6 +288,22 @@ func checkResultPin(t *testing.T, key string, b []byte) {
 	}
 }
 
+// checkTimelinePin fails unless the TLIN section of r's run log hashes to
+// the timeline pin for label.
+func checkTimelinePin(t *testing.T, label string, r *RunResult) {
+	t.Helper()
+	for _, s := range r.Sections() {
+		if string(s.Tag[:]) == "TLIN" {
+			sum := sha256.Sum256(s.Payload)
+			if got, want := hex.EncodeToString(sum[:]), timelinePins[label]; got != want {
+				t.Errorf("%s: timeline SHA-256 %s, pinned %q", label, got, want)
+			}
+			return
+		}
+	}
+	t.Errorf("%s: run log has no TLIN section", label)
+}
+
 // TestGoldenWorkloadDigests pins the single-issue MXS configuration
 // (paper Figure 3) on every workload. mipsy and mxs are pinned by
 // TestTickBatchRunEquivalence, which already runs those cells; mxs1 has no
@@ -302,7 +318,7 @@ func TestGoldenWorkloadDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, _, _ := runConfigured(t, cfg, bench, false)
+			r, _ := runConfigured(t, cfg, bench, false, 0)
 			checkResultPin(t, "mxs1/"+bench, resultBytes(t, r))
 		})
 	}

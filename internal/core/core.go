@@ -39,7 +39,7 @@ type RunResult struct {
 	DiskStats   disk.Stats
 	IdleCycles  uint64
 
-	// Timeline is the run's power timeline (empty unless recorded with
+	// Timeline is the run's power timeline (empty unless derived with
 	// Options.TimelineCycles); EProf the aggregated energy profile (empty
 	// unless Options.EnergyProfile), sorted by (PCBucket, Mode, ASID),
 	// with EProfShift the PC bucket shift. All three round-trip through
@@ -69,9 +69,6 @@ func Collect(m *machine.Machine, benchmark, coreName string) *RunResult {
 		r.Services[s] = *col.ServiceStats(s)
 	}
 	r.IdleCycles = r.ModeTotals[trace.ModeIdle].Cycles
-	// After col.Finish: the trailing timeline point folds the last flushed
-	// window, and the profiler sink has received the final pending batch.
-	r.Timeline = m.FinishTimeline()
 	return r
 }
 

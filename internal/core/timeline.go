@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 
+	"softwatt/internal/disk"
 	"softwatt/internal/power"
 	"softwatt/internal/trace"
 )
@@ -29,22 +30,54 @@ type TimelineRow struct {
 	TotalW   float64 // CPU + mem + clock + disk
 }
 
-// TimelineRows derives per-interval watts from the run's recorded timeline.
-// When the run was recorded without -timeline, the sample windows stand in:
+// TimelineWindows is how many sample windows a timeline point of interval
+// cycles folds: the interval rounded up to whole windows, counted in
+// windows so that no interval overflows.
+func TimelineWindows(interval, window uint64) uint64 {
+	return interval/window + min(interval%window, 1)
+}
+
+// FoldWindows folds a run's sample windows into timeline points of n
+// windows each, the last holding the rest; none when n is 0. DiskJ is NaN:
+// the windows carry no disk energy.
+func FoldWindows(samples []trace.Sample, n uint64) (points []trace.TimelinePoint) {
+	for n > 0 && len(samples) > 0 {
+		k := int(min(n, uint64(len(samples))))
+		p := trace.TimelinePoint{Start: samples[0].Start, End: samples[k-1].End, DiskJ: math.NaN()}
+		for i := range samples[:k] {
+			for m := range p.Mode {
+				p.Mode[m].Add(&samples[i].Mode[m])
+			}
+		}
+		points, samples = append(points, p), samples[k:]
+	}
+	return points
+}
+
+// Timeline derives a run's power timeline (DESIGN.md §15): its sample
+// windows folded n to a point, each point's DiskJ read at its end from rp,
+// a replay of the run's disk recording, the last point's from rp.Finish,
+// whose results it returns.
+func Timeline(samples []trace.Sample, n uint64, rp *disk.Replayer) (tl []trace.TimelinePoint, energyJ float64, st disk.Stats, ok bool) {
+	tl = FoldWindows(samples, n)
+	for i := 0; i+1 < len(tl); i++ {
+		tl[i].DiskJ = rp.EnergyJ(tl[i].End)
+	}
+	energyJ, st, ok = rp.Finish()
+	if len(tl) > 0 {
+		tl[len(tl)-1].DiskJ = energyJ
+	}
+	return tl, energyJ, st, ok
+}
+
+// TimelineRows derives per-interval watts from the run's timeline. When
+// the run was recorded without -timeline, the sample windows stand in:
 // each window becomes one interval with CPU-side components only (the log
 // has no per-window disk energy), and fromSamples reports the substitution.
 func (e *Estimator) TimelineRows(r *RunResult) (rows []TimelineRow, fromSamples bool) {
 	points := r.Timeline
 	if len(points) == 0 {
-		points = make([]trace.TimelinePoint, len(r.Samples))
-		for i := range r.Samples {
-			points[i] = trace.TimelinePoint{
-				Start: r.Samples[i].Start,
-				End:   r.Samples[i].End,
-				Mode:  r.Samples[i].Mode,
-				DiskJ: math.NaN(),
-			}
-		}
+		points = FoldWindows(r.Samples, 1)
 		fromSamples = true
 	}
 	rows = make([]TimelineRow, 0, len(points))

@@ -33,14 +33,11 @@ import (
 
 // fingerprint identifies the machine configuration a checkpoint belongs
 // to, excluding the core kind (cross-core restore is the point of sampled
-// simulation), the run-away bound (a run limit, not machine state), and
-// the timeline interval (pure observation: results are bit-identical with
-// it on or off, so toggling it must not invalidate checkpoints).
+// simulation) and the run-away bound (a run limit, not machine state).
 func (m *Machine) fingerprint() string {
 	cfg := m.cfg
 	cfg.Core = 0
 	cfg.MaxCycles = 0
-	cfg.TimelineCycles = 0
 	return fmt.Sprintf("%+v", cfg)
 }
 
@@ -218,15 +215,9 @@ func (m *Machine) RestoreState(data []byte) error {
 		return fmt.Errorf("machine: %d trailing bytes after checkpoint", r.Remaining())
 	}
 
-	// Timeline, telemetry and energy-profiler state are observational and
-	// not part of the checkpoint (DESIGN.md §15): a restored run records
-	// from the restore point onward.
+	// Telemetry and energy-profiler state are observational and not part
+	// of the checkpoint (DESIGN.md §15): a restored run publishes from the
+	// restore point onward.
 	m.rebaseObs()
-	m.timeline = nil
-	m.tlIdx = len(m.col.Samples())
-	m.tlStart = m.cycle
-	if m.cfg.TimelineCycles > 0 {
-		m.tlNext = m.cycle + m.cfg.TimelineCycles
-	}
 	return r.Err()
 }

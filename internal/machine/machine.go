@@ -97,12 +97,10 @@ type Config struct {
 	// IdleHalt makes the kernel's idle loop halt the CPU with WAIT instead
 	// of busy-waiting — the paper's §5 proposed idle-energy optimization.
 	IdleHalt bool
-	// TimelineCycles, when nonzero, records a power-timeline point every
-	// this many cycles (rounded up to a whole number of sample windows so
-	// timeline points land exactly on window-flush boundaries). Purely
-	// observational: simulation results are bit-identical either way, and
-	// the knob is excluded from config digests and checkpoint
-	// fingerprints.
+	// TimelineCycles changes nothing the machine does (the power timeline
+	// is derived after the run, DESIGN.md §15). It stays because the
+	// checkpoint fingerprint formats the whole Config: removing it changes
+	// the bytes of every stored fast-forward reservoir.
 	TimelineCycles uint64
 }
 
@@ -163,18 +161,6 @@ type Machine struct {
 	// always-false compare per cycle and nothing else.
 	tele    *telemetry
 	obsNext uint64
-
-	// Power timeline (DESIGN.md §15). tlNext is MaxUint64 when disabled —
-	// the same dormant-compare discipline as obsNext — and otherwise the
-	// next cycle at which a point is recorded. tlIdx tracks how many
-	// flushed collector samples previous points already folded.
-	tlNext   uint64
-	tlStart  uint64
-	tlIdx    int
-	timeline []trace.TimelinePoint
-	// OnTimeline, when set, observes every recorded point as it is taken
-	// (live export to metrics gauges and trace counter tracks).
-	OnTimeline func(*trace.TimelinePoint)
 
 	// epOn gates the per-commit energy-profiler PC update; false keeps
 	// attribute's profiler hook to a single dormant compare.
@@ -299,16 +285,6 @@ func New(cfg Config, w Workload) (_ *Machine, err error) {
 		m.tele = newTelemetry()
 		m.tele.oooCore = cfg.Core != CoreMipsy
 		m.obsNext = obsIntervalCycles
-	}
-	m.tlNext = math.MaxUint64
-	if cfg.TimelineCycles > 0 {
-		// Round the interval up to a whole number of sample windows so
-		// every timeline tick lands exactly on a window-flush boundary:
-		// folding flushed samples then partitions time with no window
-		// straddling two points.
-		w := m.col.WindowCycles
-		m.cfg.TimelineCycles = (cfg.TimelineCycles + w - 1) / w * w
-		m.tlNext = m.cfg.TimelineCycles
 	}
 	m.commit = m.attribute
 	return m, nil
@@ -484,52 +460,7 @@ func (m *Machine) stepDevices() {
 	if m.cycle >= m.obsNext {
 		m.publishObs()
 	}
-	if m.cycle >= m.tlNext {
-		m.recordTimeline()
-	}
 }
-
-// recordTimeline closes the current timeline interval at the present
-// cycle: every collector sample flushed since the previous point is folded
-// into one per-mode activity bucket, and the disk's cumulative energy is
-// read (a pure function of the current cycle). Called from stepDevices on
-// exact interval boundaries — the interval is a multiple of the sample
-// window, and the batch loop clamps its batches to tlNext — and once more
-// by FinishTimeline for the trailing partial interval.
-func (m *Machine) recordTimeline() {
-	p := trace.TimelinePoint{Start: m.tlStart, End: m.cycle}
-	samples := m.col.Samples()
-	for ; m.tlIdx < len(samples); m.tlIdx++ {
-		s := &samples[m.tlIdx]
-		for mo := range p.Mode {
-			p.Mode[mo].Add(&s.Mode[mo])
-		}
-	}
-	p.DiskJ = m.dsk.EnergyJ(m.cycle)
-	m.timeline = append(m.timeline, p)
-	if m.OnTimeline != nil {
-		m.OnTimeline(&m.timeline[len(m.timeline)-1])
-	}
-	m.tlStart = m.cycle
-	m.tlNext = m.cycle + m.cfg.TimelineCycles
-}
-
-// FinishTimeline records the trailing partial interval and returns the
-// run's timeline (nil when disabled). Call after the collector's Finish has
-// flushed the trailing sample window — core.Collect does — so the last
-// point folds the complete run.
-func (m *Machine) FinishTimeline() []trace.TimelinePoint {
-	if m.cfg.TimelineCycles == 0 {
-		return nil
-	}
-	if m.cycle > m.tlStart {
-		m.recordTimeline()
-	}
-	return m.timeline
-}
-
-// Timeline returns the points recorded so far.
-func (m *Machine) Timeline() []trace.TimelinePoint { return m.timeline }
 
 // SetEnergyProfiler installs (or, with nil, removes) the energy-profiler
 // sink: the collector keys activity by PC bucket and the per-commit
@@ -562,7 +493,7 @@ func (m *Machine) run(limit uint64) {
 	for !m.halted && m.cycle < limit {
 		m.stepDevices()
 		target := limit
-		for _, ev := range [4]uint64{m.dsk.NextEvent(), m.timerNext, m.obsNext, m.tlNext} {
+		for _, ev := range [3]uint64{m.dsk.NextEvent(), m.timerNext, m.obsNext} {
 			if ev > m.cycle && ev < target {
 				target = ev
 			}

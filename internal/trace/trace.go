@@ -211,6 +211,10 @@ type Collector struct {
 	// re-enters drain).
 	drain func()
 
+	// OnWindow, when set, sees the flushed windows after each flush (the
+	// live power timeline's hook).
+	OnWindow func(samples []Sample)
+
 	// Energy-profiler plumbing (DESIGN.md §15). When ep is nil — the
 	// default — every hot-path hook below is a single pointer compare.
 	// When set, counts route into the pend-cache slot acc points at
@@ -485,6 +489,9 @@ func (c *Collector) flush(endCycle uint64) {
 	c.samples = append(c.samples, c.cur)
 	c.cur = Sample{Start: endCycle}
 	c.nextFlush = endCycle + c.WindowCycles
+	if c.OnWindow != nil {
+		c.OnWindow(c.samples)
+	}
 }
 
 // Finish flushes the trailing partial window and returns the samples. Any

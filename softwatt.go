@@ -118,9 +118,9 @@ type Options struct {
 	// Requires a timing core; rejected for "swift", which has no power
 	// model. Profiling changes no simulation results.
 	EnergyProfile bool
-	// TimelineCycles, when non-zero, records a power timeline point every
-	// so many cycles (rounded up to whole sample windows) into the run
-	// result and, live, into the /metrics gauges and Perfetto counter
+	// TimelineCycles, when non-zero, gives the run result a power timeline
+	// point every so many cycles (rounded up to whole sample windows) and
+	// publishes each point live to the /metrics gauges and Perfetto counter
 	// tracks. Timelines change no simulation results and do not
 	// participate in the configuration digest.
 	TimelineCycles uint64
@@ -157,7 +157,6 @@ func (o Options) MachineConfig() (machine.Config, error) {
 			o.DiskPolicy, strings.Join(DiskPolicies, ", "))
 	}
 	cfg.IdleHalt = o.IdleHalt
-	cfg.TimelineCycles = o.TimelineCycles
 	if o.EnergyProfile && cfg.Core == machine.CoreSwift {
 		return cfg, fmt.Errorf("softwatt: energy profiling needs a timing core (mipsy, mxs, mxs1); swift has no power model")
 	}
@@ -194,10 +193,7 @@ func run(benchmark string, opt Options, tid int64, record bool) (*RunResult, *re
 	if err != nil {
 		return nil, nil, err
 	}
-	var rec *disk.Recording
-	if record {
-		rec = m.Disk().Record()
-	}
+	rec := m.Disk().Record() // a derived cell's and the timeline's input
 	// Collect copies everything out of the machine, so on every path its
 	// 128 MB RAM goes back to the pool for the next run in this process.
 	defer m.Release()
@@ -211,9 +207,7 @@ func run(benchmark string, opt Options, tid int64, record bool) (*RunResult, *re
 		ep = eprof.New(eprof.DefaultShift, unitPJ, cyclePJ)
 		m.SetEnergyProfiler(ep, ep.Shift())
 	}
-	if cfg.TimelineCycles > 0 {
-		m.OnTimeline = timelineExporter(model, m.Config().ClockHz, tid)
-	}
+	publishRest := exportTimeline(m, rec, opt.TimelineCycles, model, tid)
 	sp = obs.StartSpan(tid, "simulate "+benchmark, "simulate")
 	sp.Arg("core", cfg.Core.String())
 	err = m.Run(0)
@@ -228,6 +222,11 @@ func run(benchmark string, opt Options, tid int64, record bool) (*RunResult, *re
 	}
 	sp = obs.StartSpan(tid, "estimate "+benchmark, "estimate")
 	r := core.Collect(m, benchmark, cfg.Core.String())
+	if opt.TimelineCycles > 0 {
+		n := core.TimelineWindows(opt.TimelineCycles, m.Collector().WindowCycles)
+		r.Timeline, _, _, _ = core.Timeline(r.Samples, n, disk.NewReplayer(m.Config().Disk, rec))
+		publishRest(r.Timeline)
+	}
 	if ep != nil {
 		r.EProf = ep.Entries()
 		r.EProfShift = ep.Shift()
