@@ -98,6 +98,11 @@ func main() {
 		cli.Fail(err)
 	}
 	fmt.Print(softwatt.RenderFig9(softwatt.Fig9Rows(specs, results)))
+	for i, r := range results {
+		if *timeline > 0 && r != nil && len(r.Timeline) == 0 { // the interval is not in the digest
+			fmt.Fprintf(os.Stderr, "swsweep: %s: cached log has no power timeline\n", specs[i].Label)
+		}
+	}
 	if *eprofDir != "" {
 		for i, r := range results {
 			if r == nil {
