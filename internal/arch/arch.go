@@ -194,9 +194,6 @@ func (c *CPU) UserMode() bool {
 	return st&isa.StatusUM != 0 && st&isa.StatusEXL == 0
 }
 
-// InHandler reports whether EXL is set (exception level).
-func (c *CPU) InHandler() bool { return c.COP0[isa.C0Status]&isa.StatusEXL != 0 }
-
 // ASID returns the current address-space id from EntryHi.
 func (c *CPU) ASID() uint8 { return uint8(c.COP0[isa.C0EntryHi]) }
 

@@ -109,21 +109,3 @@ func (b *slotBits) count() int {
 	}
 	return n
 }
-
-// nextSet returns the smallest set bit >= i, or b.n if none.
-func (b *slotBits) nextSet(i int) int {
-	if i >= b.n {
-		return b.n
-	}
-	wi := i >> 6
-	w := b.w[wi] >> (uint(i) & 63)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(b.w); wi++ {
-		if b.w[wi] != 0 {
-			return wi<<6 + bits.TrailingZeros64(b.w[wi])
-		}
-	}
-	return b.n
-}

@@ -82,16 +82,6 @@ func Assemble(src string) (*Program, error) {
 	return &Program{Segments: a.segs, Symbols: a.syms}, nil
 }
 
-// MustAssemble is Assemble that panics on error; intended for statically
-// known-correct sources such as the kernel image builder.
-func MustAssemble(src string) *Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (a *asmCtx) run(src string) error {
 	for i, line := range strings.Split(src, "\n") {
 		a.lineNo = i + 1

@@ -713,12 +713,6 @@ func (in Inst) Deps(uses *[4]uint8, defs *[2]uint8) (nu, nd int) {
 	return nu, nd
 }
 
-// IsFPUnit reports whether the op executes on a floating-point unit.
-func (in Inst) IsFPUnit() bool {
-	c := in.Info().Class
-	return c == ClassFP || c == ClassFPDiv
-}
-
 // MemSize returns the access width in bytes for loads/stores, 0 otherwise.
 func (in Inst) MemSize() int {
 	switch in.Op {
